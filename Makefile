@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke
+.PHONY: check vet build test race race-comm bench bench-figures bench-scale bench-build bench-compare build-examples run-examples check-topology check-placement check-sweep check-serve check-kernels check-lint fuzz-smoke race-differential
 
-check: vet check-lint race race-comm build-examples check-topology check-placement check-sweep check-serve check-kernels bench-build
+check: vet check-lint race race-comm race-differential build-examples check-topology check-placement check-sweep check-serve check-kernels bench-build
 
 # Lint gate: appfitlint (cmd/appfitlint, DESIGN.md §14) must pass clean over
 # the module — range-over-map emission order, wall-clock/math-rand use in
@@ -71,6 +71,14 @@ check-serve:
 # test cache so this target always re-executes it).
 race-comm:
 	$(GO) test -race -count=1 -run 'TestCommContextIsolation64Ranks' ./internal/dist
+
+# The Figure-2 differential gate, named explicitly like race-comm: every
+# Table-I workload runs under the same fault scripts on the real runtime and
+# on the cluster simulator, and both must count identical replication,
+# SDC, DUE, re-execution and vote-failure activity — the test behind
+# DESIGN.md §2's "only the clock is substituted".
+race-differential:
+	$(GO) test -race -count=1 -run 'TestRecoveryDifferential' ./internal/bench
 
 vet:
 	$(GO) vet ./...

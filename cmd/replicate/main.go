@@ -5,11 +5,12 @@
 //	replicate -bench nbody -scale small -nodes 4,8,16,32,64 -cores 16 -rate 1e-3
 //
 // It prints, for each machine size: fault-free and replicated makespans,
-// overhead, speedup and recovery activity. The runs execute on the sweep
-// engine (-parallel workers, -cache entries); -csv dumps the per-request
-// stage timings and -check-cache re-runs the whole sweep to prove the
-// second pass is served from the cache with an identical table — the
-// `make check-sweep` gate. A failed simulation exits non-zero naming the
+// overhead, speedup and recovery activity (re-executions, SDCs detected,
+// DUEs recovered, vote failures). The runs execute on the sweep engine
+// (-parallel workers, -cache entries); -csv dumps the per-request stage
+// timings and -check-cache re-runs the whole sweep to prove the second pass
+// is served from the cache with an identical table — the `make check-sweep`
+// gate. A failed simulation exits non-zero naming the
 // request that failed; a partial table is never printed as success.
 package main
 
@@ -130,7 +131,7 @@ func main() {
 // bitwise-identical string, which is what -check-cache compares.
 func render(nodeCounts []int, cores int, resps []sweep.Response) string {
 	t := stats.NewTable("nodes", "cores", "base ms", "repl ms", "overhead %",
-		"speedup", "reexecs", "sdc", "due")
+		"speedup", "reexecs", "sdc", "due", "votefail")
 	var base0 cluster.Result
 	for i, nodes := range nodeCounts {
 		baseRes, replRes := resps[2*i].Result, resps[2*i+1].Result
@@ -142,7 +143,7 @@ func render(nodeCounts []int, cores int, resps []sweep.Response) string {
 			replRes.Makespan.Seconds()*1e3,
 			replRes.OverheadPct(baseRes),
 			replRes.Speedup(base0),
-			replRes.Reexecutions, replRes.SDCDetected, replRes.DUERecovered)
+			replRes.Reexecutions, replRes.SDCDetected, replRes.DUERecovered, replRes.VoteFailures)
 	}
 	return t.String()
 }

@@ -302,7 +302,7 @@ func worldTraffic(b *testing.B, ranks int, mk func() dist.Transport) uint64 {
 }
 
 // BenchmarkAllreduceTreeVsGather records the trade-off behind the
-// Allreduce crossover (dist.TreeAllreduceCrossover): the same long-vector
+// Allreduce crossover (dist.TreeAllreduceCrossoverBytes): the same long-vector
 // reduction on one World, once through the gather+broadcast algorithm that
 // funnels every vector through member 0, once through the
 // recursive-doubling tree whose members fold in parallel. One op is a

@@ -9,8 +9,9 @@
 // about parallel makespans at core counts far beyond this host, so they are
 // measured here in virtual time; DESIGN.md §2 records the substitution. The
 // real goroutine runtime (internal/rt) and this simulator share workload
-// DAG builders, and the recovery semantics deliberately mirror rt's engine:
-// a task result is adopted once two clean executions agree.
+// DAG builders and one recovery policy, vote.Recovery: a task result is
+// adopted once two clean executions agree. Only the clock differs
+// (DESIGN.md §2).
 package cluster
 
 import (
@@ -22,6 +23,7 @@ import (
 	"appfit/internal/place"
 	"appfit/internal/simnet"
 	"appfit/internal/simtime"
+	"appfit/internal/vote"
 )
 
 // Task is one node of the DAG to simulate.
@@ -132,7 +134,10 @@ type Config struct {
 	// paper's scalability runs use fixed per-task rates
 	// (fault.NewFixedRate).
 	Injector fault.Injector
-	// MaxAttempts caps executions per task (default 8).
+	// MaxAttempts caps executions per task (default 8). A replicated task
+	// that spends it without two agreeing executions is finished anyway
+	// and counted in Result.VoteFailures, where the runtime would report
+	// vote.ErrNoMajority.
 	MaxAttempts int
 }
 
@@ -191,8 +196,9 @@ type Result struct {
 	OverheadTime simtime.Time
 	// Replicated counts tasks that ran with a replica.
 	Replicated int
-	// SDCDetected / DUERecovered / Reexecutions count recovery activity.
-	SDCDetected, DUERecovered, Reexecutions int
+	// SDCDetected / DUERecovered / Reexecutions / VoteFailures count
+	// recovery activity, per task exactly as rt.Stats counts it.
+	SDCDetected, DUERecovered, Reexecutions, VoteFailures int
 	// Messages / BytesSent / WireBytes summarize network traffic;
 	// WireBytes is the portion that crossed physical-node boundaries
 	// (everything, without a Config.Topo).
@@ -254,11 +260,9 @@ type taskState struct {
 	depsLeft    int
 	started     bool
 	done        bool
-	cleanSeen   int
-	attempts    int
-	anyCrash    bool
-	anySDC      bool
-	outstanding int // executions in flight
+	clean       bool // a clean execution completed: later clean ones agree with it
+	outstanding int  // executions in flight
+	rec         vote.Recovery
 }
 
 type execItem struct {
@@ -320,9 +324,8 @@ func (s *sim) spare(it execItem) bool {
 }
 
 // Run simulates the job on the configured machine and returns the result.
-// It panics only on programmer error (invalid DAG); fault exhaustion marks
-// the task done after MaxAttempts (counted in Reexecutions), matching the
-// runtime's bounded recovery.
+// A replicated task that exhausts MaxAttempts is finished anyway and
+// counted in Result.VoteFailures; the time it spent stays charged.
 func Run(job Job, cfg Config) (Result, error) {
 	cfg = cfg.Normalized()
 	if err := job.Validate(cfg.Nodes); err != nil {
@@ -425,12 +428,11 @@ func (s *sim) launch(i int) {
 		ck := s.memCost(t.ArgBytes)
 		s.res.OverheadTime += ck
 		st.outstanding = 2
+		st.rec = vote.Recovery{MaxAttempts: s.cfg.MaxAttempts}
 		s.enqueue(t.Node, execItem{task: i, attempt: 0, cost: t.Cost + ck})
 		s.enqueue(t.Node, execItem{task: i, attempt: 1, cost: t.Cost})
-		st.attempts = 2
 	} else {
 		st.outstanding = 1
-		st.attempts = 1
 		s.enqueue(t.Node, execItem{task: i, attempt: 0, cost: t.Cost})
 	}
 }
@@ -480,13 +482,18 @@ func (s *sim) execDone(node int, it execItem) {
 	st := &s.states[it.task]
 	t := s.job.Tasks[it.task]
 	outcome := s.cfg.Injector.Draw(uint64(it.task+1), it.attempt, 0, 0)
-	switch outcome {
-	case fault.DUE:
-		st.anyCrash = true
-	case fault.SDC:
-		st.anySDC = true
-	default:
-		st.cleanSeen++
+	if s.replicated(it.task) {
+		// Classify for the recovery policy: a clean result agrees with an
+		// earlier clean one; an SDC-corrupted result agrees with nothing.
+		switch {
+		case outcome == fault.DUE:
+			st.rec.Observe(vote.Crashed)
+		case outcome == fault.None && st.clean:
+			st.rec.Observe(vote.Agreed)
+		default:
+			st.clean = st.clean || outcome == fault.None
+			st.rec.Observe(vote.Disagreed)
+		}
 	}
 	st.outstanding--
 	s.trySchedule(node)
@@ -500,38 +507,24 @@ func (s *sim) execDone(node int, it execItem) {
 		return
 	}
 	// All in-flight executions of a replicated task have completed:
-	// compare outputs (Figure 2 step 3).
+	// compare outputs (Figure 2 step 3) and let the policy decide.
 	cmp := s.memCost(s.outBytes(it.task))
 	s.res.OverheadTime += cmp
 	s.eng.After(cmp, func() {
-		if st.cleanSeen >= 2 {
-			// Two agreeing clean results: adopt.
-			if st.anySDC {
-				s.res.SDCDetected++
-			}
-			if st.anyCrash {
-				s.res.DUERecovered++
-			}
-			s.finish(it.task)
-			return
-		}
-		if st.attempts >= s.cfg.MaxAttempts {
-			// Bounded recovery exhausted; the runtime reports an error
-			// here, the simulator charges the time and moves on.
+		act, c := st.rec.Decide()
+		s.res.SDCDetected += c.SDCDetected
+		s.res.DUERecovered += c.DUERecovered
+		s.res.Reexecutions += c.Reexecutions
+		s.res.VoteFailures += c.VoteFailures
+		if act != vote.Reexecute {
 			s.finish(it.task)
 			return
 		}
 		// Restore from checkpoint (step 4) and re-execute.
-		if st.anySDC {
-			s.res.SDCDetected++
-			st.anySDC = false // count one detection per recovery round
-		}
-		s.res.Reexecutions++
 		restore := s.memCost(t.ArgBytes)
 		s.res.OverheadTime += restore
 		st.outstanding = 1
-		st.attempts++
-		s.enqueue(t.Node, execItem{task: it.task, attempt: st.attempts - 1, cost: t.Cost + restore})
+		s.enqueue(t.Node, execItem{task: it.task, attempt: st.rec.Attempts(), cost: t.Cost + restore})
 	})
 }
 

@@ -28,8 +28,8 @@
 // Reduction algorithm selection: Allreduce picks between two algorithms by
 // vector length. Short vectors use the gather+broadcast tree rooted at
 // member 0 (AllreduceGather) — 2(n−1) messages and a single deterministic
-// fold, valid for any ReduceOp. Long vectors (≥ TreeAllreduceCrossover
-// elements) use recursive doubling (AllreduceTree): ⌈log2 n⌉ exchange
+// fold, valid for any ReduceOp. Long vectors (≥ TreeAllreduceCrossoverBytes
+// per member) use recursive doubling (AllreduceTree): ⌈log2 n⌉ exchange
 // rounds with every member folding in parallel, so no member ever holds
 // more than one extra vector and the root hotspot disappears — at the price
 // of requiring a commutative op (the builtin OpSum/OpMin/OpMax all are).
@@ -276,12 +276,6 @@ const (
 	// 64–256 ranks).
 	RabenseifnerCrossoverBytes = 64 << 10
 )
-
-// TreeAllreduceCrossover is TreeAllreduceCrossoverBytes in float64 elements.
-//
-// Deprecated: selection is byte-based; compare payload bytes against
-// TreeAllreduceCrossoverBytes instead.
-const TreeAllreduceCrossover = TreeAllreduceCrossoverBytes / 8
 
 // allreducePayloadBytes is the per-member payload the auto-selection
 // compares against the crossovers: the smallest member buffer, so a ragged
@@ -535,44 +529,4 @@ func (c *Comm) ReduceScatter(tag int, in, out string, bufs, outs []buffer.F64, o
 			}, rt.In(in, bufs[i]), rt.In(tKey, tmp), dst)
 		}
 	}
-}
-
-// ---- deprecated flat wrappers ----
-
-// Barrier submits a barrier over all ranks on the world communicator.
-//
-// Deprecated: use World.Comm().Barrier.
-func (w *World) Barrier(tag int) { w.world.Barrier(tag) }
-
-// Barrier submits this rank's side of a world-communicator barrier.
-//
-// Deprecated: use World.Comm().Rank(i).Barrier.
-func (r *Rank) Barrier(tag int, args ...rt.Arg) { r.w.world.Rank(r.id).Barrier(tag, args...) }
-
-// Broadcast replicates root's buffer on the world communicator.
-//
-// Deprecated: use World.Comm().Broadcast.
-func (w *World) Broadcast(root, tag int, name string, bufs []buffer.Buffer) {
-	w.world.Broadcast(root, tag, name, bufs)
-}
-
-// Allgather runs the ring allgather on the world communicator.
-//
-// Deprecated: use World.Comm().Allgather.
-func (w *World) Allgather(tag int, name func(j int) string, bufs [][]buffer.Buffer) {
-	w.world.Allgather(tag, name, bufs)
-}
-
-// Allreduce reduces on the world communicator.
-//
-// Deprecated: use World.Comm().Allreduce.
-func (w *World) Allreduce(tag int, name string, bufs []buffer.F64, op ReduceOp) {
-	w.world.Allreduce(tag, name, bufs, op)
-}
-
-// AllreduceSum is Allreduce with OpSum on the world communicator.
-//
-// Deprecated: use World.Comm().AllreduceSum.
-func (w *World) AllreduceSum(tag int, name string, bufs []buffer.F64) {
-	w.world.AllreduceSum(tag, name, bufs)
 }

@@ -314,7 +314,7 @@ func TestAllreduceAutoSelectsByLength(t *testing.T) {
 		want uint64
 	}{
 		{"short-gather", 4, 2 * 3},
-		{"long-tree", TreeAllreduceCrossover, 4 * 2},
+		{"long-tree", TreeAllreduceCrossoverBytes / 8, 4 * 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,7 +350,7 @@ func TestAllreduceCustomOpNeverAutoTrees(t *testing.T) {
 	w := NewWorld(Config{Ranks: n})
 	bufs := make([]buffer.F64, n)
 	for i := range bufs {
-		bufs[i] = buffer.NewF64(TreeAllreduceCrossover)
+		bufs[i] = buffer.NewF64(TreeAllreduceCrossoverBytes / 8)
 		bufs[i][0] = float64(i + 1)
 	}
 	product := func(dst, src []float64) {
@@ -462,27 +462,4 @@ func TestNewCollectivesBitwiseUnderFaults(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestDeprecatedFlatWrappersDelegate(t *testing.T) {
-	// The flat Rank.Send/Recv and World collectives are wrappers over the
-	// world communicator: they must interoperate with comm-scoped calls on
-	// the same mailboxes.
-	w := NewWorld(Config{Ranks: 2})
-	src := buffer.F64{5}
-	dst := buffer.NewF64(1)
-	w.Rank(0).Send(1, 0, "s", src)        // deprecated flat send...
-	w.Comm().Rank(1).Recv(0, 0, "d", dst) // ...matched by a comm-scoped recv
-	red := []buffer.F64{{1}, {2}}
-	w.AllreduceSum(1, "r", red)
-	w.Barrier(2)
-	if err := w.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if dst[0] != 5 {
-		t.Fatalf("flat send did not reach comm recv: %v", dst[0])
-	}
-	if red[0][0] != 3 || red[1][0] != 3 {
-		t.Fatalf("deprecated AllreduceSum = %v, %v, want 3, 3", red[0][0], red[1][0])
-	}
 }

@@ -329,26 +329,6 @@ func (r *Rank) Runtime() *rt.Runtime { return r.rt }
 // Stats returns the rank's runtime counters.
 func (r *Rank) Stats() rt.Stats { return r.rt.Stats() }
 
-// Send ships a snapshot of buf to partner under tag on the world
-// communicator.
-//
-// Deprecated: use World.Comm().Rank(i).Send — communication is
-// communicator-scoped; this thin wrapper delegates to the world
-// communicator and exists for transition only.
-func (r *Rank) Send(partner, tag int, name string, buf buffer.Buffer) uint64 {
-	return r.w.world.Rank(r.id).Send(partner, tag, name, buf)
-}
-
-// Recv blocks until the matching message from partner under tag arrives on
-// the world communicator and copies it into buf.
-//
-// Deprecated: use World.Comm().Rank(i).Recv — communication is
-// communicator-scoped; this thin wrapper delegates to the world
-// communicator and exists for transition only.
-func (r *Rank) Recv(partner, tag int, name string, buf buffer.Buffer) uint64 {
-	return r.w.world.Rank(r.id).Recv(partner, tag, name, buf)
-}
-
 // commSend submits a comm task that, when its dependencies resolve, seals a
 // clone of args[payload] (an empty frame if payload < 0) and hands it to the
 // transport for m's mailbox.

@@ -12,9 +12,11 @@
 //     checkpoint and the task re-executes;
 //  5. a majority vote over the three results selects the task's output.
 //
-// Crashes (DUEs) are absorbed by the surviving replica or by re-execution
-// from the checkpoint. Faults are supplied by an injector (internal/fault),
-// driven by the same per-task FIT estimates the heuristic uses.
+// Crashes (DUEs) are absorbed by re-execution from the checkpoint. When to
+// adopt, re-execute or give up is decided by vote.Recovery, the policy the
+// cluster simulator runs too; this package supplies the mechanism. Faults
+// are supplied by an injector (internal/fault), driven by the same per-task
+// FIT estimates the heuristic uses.
 package rt
 
 import (
@@ -125,7 +127,8 @@ type Config struct {
 	// Tracer, if non-nil, records per-task events.
 	Tracer *trace.Tracer
 	// MaxAttempts caps executions per task including recovery re-runs
-	// (default 8).
+	// (default 8); running out without two agreeing results fails the run
+	// with vote.ErrNoMajority.
 	MaxAttempts int
 }
 
@@ -245,6 +248,15 @@ type task struct {
 	// fault-injected — the paper delegates communication failures to
 	// complementary protocols (§VI, Martsinkevich et al.).
 	comm bool
+}
+
+// bufs returns the task's real argument buffers, in argument order.
+func (t *task) bufs() []buffer.Buffer {
+	bufs := make([]buffer.Buffer, len(t.args))
+	for i, a := range t.args {
+		bufs[i] = a.Buf
+	}
+	return bufs
 }
 
 // Runtime executes submitted tasks. Create with New, submit with Submit,
@@ -507,27 +519,37 @@ type attemptResult struct {
 	dur     time.Duration
 }
 
-// writableIdx returns the indices of args with write access (the buffers
-// compared between replicas).
-func writableIdx(args []Arg) []int {
-	var idx []int
+// pick returns, in argument order, the entries of bufs whose argument's
+// mode satisfies keep: deps.Mode.Writes selects the outputs compared
+// between attempts, deps.Mode.Reads the inputs a checkpoint covers.
+func pick(args []Arg, bufs []buffer.Buffer, keep func(deps.Mode) bool) []buffer.Buffer {
+	var out []buffer.Buffer
 	for i, a := range args {
-		if a.Mode.Writes() {
-			idx = append(idx, i)
+		if keep(a.Mode) {
+			out = append(out, bufs[i])
 		}
 	}
-	return idx
+	return out
 }
 
-// inputIdx returns the indices of args the task reads (checkpoint set).
-func inputIdx(args []Arg) []int {
-	var idx []int
-	for i, a := range args {
-		if a.Mode.Reads() {
-			idx = append(idx, i)
-		}
+// injectSDC silently flips the one bit of outs, taken as a single bit
+// string, that the injector picks for this attempt: the SDC model.
+func (r *Runtime) injectSDC(t *task, attempt int, outs []buffer.Buffer) {
+	total := buffer.TotalBits(outs...)
+	if total == 0 {
+		return
 	}
-	return idx
+	bit := r.cfg.Injector.BitIndex(t.id, attempt, total)
+	for _, b := range outs {
+		if b == nil {
+			continue
+		}
+		if bit < b.BitLen() {
+			b.FlipBit(bit)
+			return
+		}
+		bit -= b.BitLen()
+	}
 }
 
 // runAttempt executes one attempt on the provided buffer set, drawing a
@@ -537,11 +559,7 @@ func inputIdx(args []Arg) []int {
 func (r *Runtime) runAttempt(t *task, bufs []buffer.Buffer, attempt, w int) attemptResult {
 	outcome := r.cfg.Injector.Draw(t.id, attempt, t.pDUE, t.pSDC)
 	start := time.Now()
-	res := attemptResult{dur: 0}
-	wIdx := writableIdx(t.args)
-	for _, i := range wIdx {
-		res.outputs = append(res.outputs, bufs[i])
-	}
+	res := attemptResult{outputs: pick(t.args, bufs, deps.Mode.Writes)}
 	if outcome == fault.DUE {
 		// The crash interrupts the execution: we model the lost work as a
 		// partial write by corrupting the first writable buffer, then
@@ -558,18 +576,8 @@ func (r *Runtime) runAttempt(t *task, bufs []buffer.Buffer, attempt, w int) atte
 	}
 	ctx := &Ctx{bufs: bufs, attempt: attempt, worker: w, taskID: t.id}
 	t.fn(ctx)
-	if outcome == fault.SDC && len(res.outputs) > 0 {
-		total := buffer.TotalBits(res.outputs...)
-		if total > 0 {
-			bit := r.cfg.Injector.BitIndex(t.id, attempt, total)
-			for _, b := range res.outputs {
-				if bit < b.BitLen() {
-					b.FlipBit(bit)
-					break
-				}
-				bit -= b.BitLen()
-			}
-		}
+	if outcome == fault.SDC {
+		r.injectSDC(t, attempt, res.outputs)
 	}
 	res.dur = time.Since(start)
 	return res
@@ -662,10 +670,7 @@ func (r *Runtime) execute(t *task, w int) {
 // the experiment's measure of unprotected risk). An SDC here silently
 // corrupts the real output — it propagates, exactly the threat model.
 func (r *Runtime) executeUnprotected(t *task, w int, rec *trace.Record) {
-	bufs := make([]buffer.Buffer, len(t.args))
-	for i, a := range t.args {
-		bufs[i] = a.Buf
-	}
+	bufs := t.bufs()
 	outcome := fault.None
 	if !t.comm {
 		outcome = r.cfg.Injector.Draw(t.id, 0, t.pDUE, t.pSDC)
@@ -680,40 +685,20 @@ func (r *Runtime) executeUnprotected(t *task, w int, rec *trace.Record) {
 		r.unprotDUE.Add(1)
 		rec.Events = append(rec.Events, trace.UnprotectedDUE)
 	case fault.SDC:
-		wIdx := writableIdx(t.args)
-		var outs []buffer.Buffer
-		for _, i := range wIdx {
-			if bufs[i] != nil {
-				outs = append(outs, bufs[i])
-			}
-		}
-		total := buffer.TotalBits(outs...)
-		if total > 0 {
-			bit := r.cfg.Injector.BitIndex(t.id, 0, total)
-			for _, b := range outs {
-				if bit < b.BitLen() {
-					b.FlipBit(bit)
-					break
-				}
-				bit -= b.BitLen()
-			}
-		}
+		r.injectSDC(t, 0, pick(t.args, bufs, deps.Mode.Writes))
 		r.unprotSDC.Add(1)
 		rec.Events = append(rec.Events, trace.UnprotectedSDC)
 	}
 }
 
-// executeReplicated implements Figure 2.
+// executeReplicated implements Figure 2's mechanism — checkpoint, clone,
+// run, compare bytes, adopt or restore — and leaves every adopt, re-execute
+// or fail decision to vote.Recovery.
 func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	cmp := vote.Panel{Cmp: r.cfg.Comparator, N: r.cfg.Voters}
 
 	// Step 1: checkpoint the inputs.
-	inIdx := inputIdx(t.args)
-	inputs := make([]buffer.Buffer, len(inIdx))
-	for k, i := range inIdx {
-		inputs[k] = t.args[i].Buf
-	}
-	r.store.Save(t.id, inputs)
+	r.store.Save(t.id, pick(t.args, t.bufs(), deps.Mode.Reads))
 	rec.Events = append(rec.Events, trace.Checkpointed)
 	defer r.store.Release(t.id)
 
@@ -739,78 +724,77 @@ func (r *Runtime) executeReplicated(t *task, w int, rec *trace.Record) {
 	rec.ReplicaDur = replicaRes.dur
 	rec.Attempts = 2
 
-	adopt := func(outs []buffer.Buffer) {
-		wIdx := writableIdx(t.args)
-		for k, i := range wIdx {
-			if t.args[i].Buf != nil {
-				if err := t.args[i].Buf.CopyFrom(outs[k]); err != nil {
-					r.setErr(fmt.Errorf("rt: task %d adopt result: %w", t.id, err))
-				}
-			}
-		}
-	}
-
-	// Steps 3-5, unified: a result is adopted only once two independent
-	// executions agree on it. The common case is primary == replica at the
-	// first comparison. A crash removes a comparison partner, so the
-	// engine re-executes from the checkpoint to regain one rather than
-	// adopting a lone survivor — a surviving-but-silently-corrupted
-	// replica would otherwise be adopted unchecked, losing the very SDC
-	// detection replication pays for. On mismatch (SDC detected) it keeps
-	// re-executing until some pair of results agrees (the paper's
-	// majority vote, iterated), or the attempt budget runs out.
-	anyCrash := primaryRes.crashed || replicaRes.crashed
-	mismatch := false
-	var results [][]buffer.Buffer
-	if !primaryRes.crashed {
-		results = append(results, primaryRes.outputs)
-	}
-	if !replicaRes.crashed {
-		results = append(results, replicaRes.outputs)
-	}
-	if len(results) == 2 {
-		rec.Events = append(rec.Events, trace.Compared)
-		if cmp.Equal(results[0], results[1]) {
-			adopt(results[0])
+	// Steps 3-5: compare each surviving result with every earlier one and
+	// let the policy decide. The adopted result is the earlier member of
+	// the agreeing pair.
+	dec := vote.Recovery{MaxAttempts: r.cfg.MaxAttempts}
+	var survivors [][]buffer.Buffer
+	var agreed []buffer.Buffer
+	observe := func(res attemptResult) {
+		if res.crashed {
+			dec.Observe(vote.Crashed)
 			return
 		}
-		mismatch = true
-		r.sdcDetected.Add(1)
-		rec.Events = append(rec.Events, trace.SDCDetected)
+		o := vote.Disagreed
+		for _, prev := range survivors {
+			if cmp.Equal(prev, res.outputs) {
+				o, agreed = vote.Agreed, prev
+				break
+			}
+		}
+		dec.Observe(o)
+		survivors = append(survivors, res.outputs)
 	}
-	for attempt := 2; attempt < r.cfg.MaxAttempts; attempt++ {
-		res := r.reexecute(t, w, attempt, rec)
-		if res.crashed {
-			anyCrash = true
+	observe(primaryRes)
+	observe(replicaRes)
+	for {
+		act, c := dec.Decide()
+		// The trace marks the comparisons that settle the pair's fate:
+		// the first disagreement, or primary and replica agreeing outright.
+		if c.SDCDetected > 0 || (act == vote.Adopt && dec.Attempts() == 2) {
+			rec.Events = append(rec.Events, trace.Compared)
+		}
+		if c.SDCDetected > 0 {
+			r.sdcDetected.Add(1)
+			rec.Events = append(rec.Events, trace.SDCDetected)
+		}
+		switch act {
+		case vote.Adopt:
+			if c.SDCRecovered > 0 {
+				r.sdcRecovered.Add(1)
+				rec.Events = append(rec.Events, trace.Voted)
+			}
+			if c.DUERecovered > 0 {
+				r.dueRecovered.Add(1)
+				rec.Events = append(rec.Events, trace.DUERecovered)
+			}
+			r.adopt(t, agreed)
+			return
+		case vote.Fail:
+			r.voteFails.Add(1)
+			rec.Events = append(rec.Events, trace.VoteFailed)
+			r.setErr(fmt.Errorf("rt: task %d: %w", t.id, vote.ErrNoMajority{}))
+			return
+		}
+		r.reexecs.Add(1)
+		observe(r.reexecute(t, w, dec.Attempts(), rec))
+	}
+}
+
+// adopt copies an agreed result set into the task's real writable buffers.
+func (r *Runtime) adopt(t *task, outs []buffer.Buffer) {
+	k := 0
+	for _, a := range t.args {
+		if !a.Mode.Writes() {
 			continue
 		}
-		for _, prev := range results {
-			if cmp.Equal(prev, res.outputs) {
-				if mismatch {
-					rec.Events = append(rec.Events, trace.Voted)
-					r.sdcRecovered.Add(1)
-				}
-				if anyCrash {
-					rec.Events = append(rec.Events, trace.DUERecovered)
-					r.dueRecovered.Add(1)
-				}
-				adopt(res.outputs)
-				return
+		if a.Buf != nil {
+			if err := a.Buf.CopyFrom(outs[k]); err != nil {
+				r.setErr(fmt.Errorf("rt: task %d adopt result: %w", t.id, err))
 			}
 		}
-		if len(results) > 0 {
-			// A comparison happened and disagreed: SDC detected.
-			if !mismatch {
-				mismatch = true
-				r.sdcDetected.Add(1)
-				rec.Events = append(rec.Events, trace.Compared, trace.SDCDetected)
-			}
-		}
-		results = append(results, res.outputs)
+		k++
 	}
-	r.voteFails.Add(1)
-	rec.Events = append(rec.Events, trace.VoteFailed)
-	r.setErr(fmt.Errorf("rt: task %d: %w", t.id, vote.ErrNoMajority{}))
 }
 
 // reexecute restores the task's inputs from its checkpoint into a fresh,
@@ -824,16 +808,10 @@ func (r *Runtime) reexecute(t *task, w, attempt int, rec *trace.Record) attemptR
 			bufs[i] = a.Buf.Clone()
 		}
 	}
-	inIdx := inputIdx(t.args)
-	dst := make([]buffer.Buffer, len(inIdx))
-	for k, i := range inIdx {
-		dst[k] = bufs[i]
-	}
-	if err := r.store.Restore(t.id, dst); err != nil {
+	if err := r.store.Restore(t.id, pick(t.args, bufs, deps.Mode.Reads)); err != nil {
 		r.setErr(fmt.Errorf("rt: task %d restore: %w", t.id, err))
 	}
 	rec.Events = append(rec.Events, trace.Restored, trace.Reexecuted)
-	r.reexecs.Add(1)
 	res := r.runAttempt(t, bufs, attempt, w)
 	rec.ReexecDur += res.dur
 	rec.Attempts++

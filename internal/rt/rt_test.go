@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -285,6 +286,74 @@ func TestPersistentSDCExhaustsVote(t *testing.T) {
 	}
 	if st := r.Stats(); st.VoteFailures != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+func TestSameBitSDCsAgreeUndetected(t *testing.T) {
+	// The limit of output comparison: SDCs that flip the *same* bit in the
+	// primary and the replica produce byte-identical corrupted outputs, so
+	// the pair agrees and the corruption is adopted undetected. The cluster
+	// simulator models SDC outputs as never agreeing — this is the one case
+	// where the two engines legitimately differ (DESIGN.md §3), which is
+	// why the differential test's scripts flip distinct bits.
+	inj := fault.NewScript().
+		Set(1, 0, fault.SDC).SetBit(1, 0, 7).
+		Set(1, 1, fault.SDC).SetBit(1, 1, 7)
+	a := buffer.F64{1, 2}
+	r := New(Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj})
+	r.Submit("incr", incrTask(1), Inout("A", a))
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if a[0] == 2 && a[1] == 3 {
+		t.Fatal("same-bit SDC pair was not adopted: comparison saw a difference")
+	}
+	if st := r.Stats(); st.SDCDetected != 0 || st.Reexecutions != 0 {
+		t.Fatalf("same-bit SDCs must pass as agreement: %+v", st)
+	}
+}
+
+func TestRecoveryTraceEvents(t *testing.T) {
+	// The exact event sequence of each Figure-2 path.
+	const (
+		ck = trace.Checkpointed
+		rc = trace.ReplicaCreated
+		cm = trace.Compared
+		sd = trace.SDCDetected
+		rs = trace.Restored
+		rx = trace.Reexecuted
+		vt = trace.Voted
+		dr = trace.DUERecovered
+		vf = trace.VoteFailed
+	)
+	S, D, N := fault.SDC, fault.DUE, fault.None
+	cases := []struct {
+		name   string
+		max    int
+		script []fault.Outcome // by attempt
+		want   []trace.Event
+	}{
+		{"clean", 0, nil, []trace.Event{ck, rc, cm}},
+		{"sdc-primary", 0, []fault.Outcome{S}, []trace.Event{ck, rc, cm, sd, rs, rx, vt}},
+		{"due-primary", 0, []fault.Outcome{D}, []trace.Event{ck, rc, rs, rx, dr}},
+		{"sdc-sdc", 0, []fault.Outcome{S, N, S}, []trace.Event{ck, rc, cm, sd, rs, rx, rs, rx, vt}},
+		{"due-sdc", 0, []fault.Outcome{D, S}, []trace.Event{ck, rc, rs, rx, cm, sd, rs, rx, vt, dr}},
+		{"sdc-exhausted", 3, []fault.Outcome{S, S, S}, []trace.Event{ck, rc, cm, sd, rs, rx, vf}},
+		{"due-exhausted", 3, []fault.Outcome{D, D, D}, []trace.Event{ck, rc, rs, rx, vf}},
+	}
+	for _, tc := range cases {
+		inj := fault.NewScript()
+		for att, o := range tc.script {
+			inj.Set(1, att, o).SetBit(1, att, int64(att+1))
+		}
+		tr := trace.New()
+		r := New(Config{Workers: 1, Selector: core.ReplicateAll{}, Injector: inj, Tracer: tr, MaxAttempts: tc.max})
+		r.Submit("incr", incrTask(1), Inout("A", buffer.F64{1, 2}))
+		r.Shutdown()
+		got := tr.Records()[0].Events
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: events %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -40,9 +40,9 @@ func TestResidueInMajorityVote(t *testing.T) {
 	good := mkRand(22, 128)
 	bad := clone(good)
 	bad[0].FlipBit(77)
-	idx, err := Majority2of3(Residue{}, bad, clone(good), clone(good))
-	if err != nil || idx != 1 {
-		t.Fatalf("idx=%d err=%v", idx, err)
+	act, idx := settle(Residue{}, bad, clone(good), clone(good))
+	if act != Adopt || idx != 1 {
+		t.Fatalf("act=%d idx=%d", act, idx)
 	}
 }
 

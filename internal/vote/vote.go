@@ -2,7 +2,9 @@
 // of the replication design (paper §III, Figure 2): the outputs of a task
 // and its replica are compared at their synchronization point; inequality
 // signals an SDC; after a third execution, "all three results are compared
-// and the majority vote is selected as the task's result".
+// and the majority vote is selected as the task's result". Recovery
+// iterates that vote under an attempt budget and is shared by the real
+// runtime and the cluster simulator.
 //
 // The comparator is pluggable, as the paper notes ("other comparators such
 // as residue error checkers can easily be deployed in the runtime"): Bitwise
@@ -66,11 +68,12 @@ func (Checksum) Equal(a, b []buffer.Buffer) bool {
 	return true
 }
 
-// ErrNoMajority is returned when all three results disagree pairwise: the
-// triple-execution produced three distinct outputs and recovery failed.
+// ErrNoMajority is returned when a replicated task's attempt budget
+// (MaxAttempts) runs out before two executions agree — whether the
+// survivors disagreed or every attempt crashed.
 type ErrNoMajority struct{}
 
-func (ErrNoMajority) Error() string { return "vote: no majority among three results" }
+func (ErrNoMajority) Error() string { return "vote: no majority: attempt budget exhausted" }
 
 // IsNoMajority reports whether err is a no-majority failure.
 func IsNoMajority(err error) bool {
@@ -78,20 +81,89 @@ func IsNoMajority(err error) bool {
 	return errors.As(err, &e)
 }
 
-// Majority2of3 returns the index (0, 1 or 2) of a result that at least two
-// of the three result sets agree on, using cmp. The returned index is the
-// first member of the agreeing pair, so callers can adopt that result set.
-func Majority2of3(cmp Comparator, r0, r1, r2 []buffer.Buffer) (int, error) {
+// Outcome is how one execution attempt ended, as classified by the engine
+// (rt compares bytes; the simulator models outcomes).
+type Outcome uint8
+
+const (
+	Crashed   Outcome = iota // a DUE: no result
+	Disagreed                // a result matching no earlier survivor's
+	Agreed                   // a result equal to an earlier survivor's
+)
+
+// Action is the recovery policy's verdict.
+type Action uint8
+
+const (
+	Reexecute Action = iota // restore from the checkpoint, run one more attempt
+	Adopt                   // two executions agree: their result stands
+	Fail                    // the budget is spent without an agreeing pair
+)
+
+// Counts are the counters one Decide adds; each field is 0 or 1.
+type Counts struct {
+	SDCDetected, SDCRecovered, DUERecovered, Reexecutions, VoteFailures int
+}
+
+// Recovery is the Figure-2 recovery policy of one replicated task: the one
+// place that decides adopt, re-execute or fail, for both the runtime and
+// the simulator. Observe the primary and replica, then Decide; while the
+// verdict is Reexecute, Observe one more attempt and Decide again. A lone
+// survivor is never adopted — a corrupted one would pass unchecked — and
+// the first disagreement counts one SDC for the task, however many rounds
+// it takes to settle. A Recovery is a plain value with no allocation.
+type Recovery struct {
+	MaxAttempts int // executions allowed, primary and replica included
+
+	attempts int
+	survived bool // some attempt produced a result
+	agreed   bool // an attempt agreed with an earlier survivor
+	crashed  bool // some attempt crashed
+	mismatch bool // a survivor disagreed with an earlier one: SDC
+	reported bool // the mismatch has been counted
+}
+
+// Observe records the next attempt's outcome. Agreed with no earlier
+// survivor counts as a lone result.
+func (r *Recovery) Observe(o Outcome) {
+	r.attempts++
 	switch {
-	case cmp.Equal(r0, r1):
-		return 0, nil
-	case cmp.Equal(r0, r2):
-		return 0, nil
-	case cmp.Equal(r1, r2):
-		return 1, nil
-	default:
-		return -1, ErrNoMajority{}
+	case o == Crashed:
+		r.crashed = true
+		return
+	case o == Agreed && r.survived:
+		r.agreed = true
+	case r.survived:
+		r.mismatch = true
 	}
+	r.survived = true
+}
+
+// Attempts returns the attempts observed so far: the next one's index.
+func (r *Recovery) Attempts() int { return r.attempts }
+
+// Decide returns the verdict on the attempts observed so far.
+func (r *Recovery) Decide() (Action, Counts) {
+	var c Counts
+	if r.mismatch && !r.reported {
+		r.reported = true
+		c.SDCDetected = 1
+	}
+	switch {
+	case r.agreed:
+		if r.mismatch {
+			c.SDCRecovered = 1
+		}
+		if r.crashed {
+			c.DUERecovered = 1
+		}
+		return Adopt, c
+	case r.attempts >= r.MaxAttempts:
+		c.VoteFailures = 1
+		return Fail, c
+	}
+	c.Reexecutions = 1
+	return Reexecute, c
 }
 
 // Panel runs n independent comparator passes (the paper's "multiple voters",
