@@ -17,11 +17,14 @@ check-lint:
 	sh scripts/check_lint.sh
 
 # Fuzz smoke: a short native-fuzz pass over the sweep key encoder's
-# canonicality invariants (stability, spelling collapse, sensitivity).
-# 10 seconds is a smoke budget — run with a longer -fuzztime for real
-# exploration; failures minimize into internal/sweep/testdata/fuzz/.
+# canonicality invariants (stability, spelling collapse, sensitivity) and
+# over the daemons' -tenants parser (every accepted spec yields a finite
+# rate and a burst of at least one). 10 seconds each is a smoke budget —
+# run with a longer -fuzztime for real exploration; failures minimize into
+# the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzSweepKeyCanonical -fuzztime 10s ./internal/sweep
+	$(GO) test -fuzz FuzzParseTenants -fuzztime 10s ./internal/serve
 
 # Topology gate: cmd/experiments must keep compiling against the Topology
 # API and its flat-vs-hierarchical table must keep producing (the

@@ -64,7 +64,7 @@ func main() {
 			tc.Name, max(tc.Weight, 1), rateString(tc), defaultCap(tc.QueueCap))
 	}
 
-	hs := &http.Server{Handler: httpapi.NewHandler(srv)}
+	hs := newHTTPServer(httpapi.NewHandler(srv))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -105,6 +105,29 @@ func main() {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// The HTTP server's timeouts. They are fixed, not flags: they bound how
+// long a client may hold a connection without making progress, which no
+// deployment needs to lift. A client that stalls mid-header, trickles a
+// request body or idles on a keep-alive connection is disconnected instead
+// of pinning a connection and a goroutine. There is deliberately no write
+// timeout: /submit answers only when its admitted work has run, which has
+// no useful upper bound.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's HTTP server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // defaultCap mirrors the serve-side queue-cap default for the banner.

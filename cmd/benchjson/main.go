@@ -45,7 +45,7 @@ import (
 type Benchmark struct {
 	// Name is the benchmark's full name including sub-benchmark path and
 	// the -N GOMAXPROCS suffix go test appends, e.g.
-	// "DirectHerd/sharded/parked=255-8".
+	// "DirectHerd/parked=255-8".
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// Metrics maps unit → value for every "value unit" pair on the line:

@@ -1,7 +1,6 @@
 // Package scale is the submit→ready→complete scale suite: microbenchmarks
-// for the three sharded layers (deps tracker, sched pool, dist rendezvous)
-// against their frozen single-mutex baselines (baseline_test.go), plus whole
-// Worlds at 64/128/256 ranks over the Direct and Sim transports. `make
+// for the three hot-path layers (deps tracker, sched pool, dist rendezvous),
+// plus whole Worlds at 64/128/256 ranks over the Direct and Sim transports. `make
 // bench` runs it with -benchmem and records BENCH_scale.json, the repo's
 // perf trajectory; `make check` runs every benchmark once so they cannot
 // rot.
@@ -28,71 +27,47 @@ import (
 
 // ---- deps: registration and completion ----
 
-// BenchmarkDepsRegisterChain is the single-thread honesty check: one
-// registrar building an inout chain, completing as it goes. Sharding must
-// not make the uncontended path materially slower.
+// BenchmarkDepsRegisterChain is the single-thread path: one registrar
+// building an inout chain, completing as it goes.
 func BenchmarkDepsRegisterChain(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() tracker
-	}{
-		{"sharded", func() tracker { return deps.NewTracker() }},
-		{"mutex", func() tracker { return newMutexTracker() }},
-	}
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			tr := impl.mk()
-			acc := []deps.Access{{Key: "X", Mode: deps.Inout}}
-			for i := 0; i < b.N; i++ {
-				tr.Register(uint64(i+1), acc)
-				if i > 0 {
-					tr.Complete(uint64(i))
-				}
-			}
-		})
+	b.ReportAllocs()
+	tr := deps.NewTracker()
+	acc := []deps.Access{{Key: "X", Mode: deps.Inout}}
+	for i := 0; i < b.N; i++ {
+		tr.Register(uint64(i+1), acc)
+		if i > 0 {
+			tr.Complete(uint64(i))
+		}
 	}
 }
 
-// BenchmarkDepsCompleteParallel is the contended hot path: tasks on disjoint
-// regions completed from every CPU at once. The mutex baseline serializes
-// all of them; the sharded tracker only collides 1/64 of the time on a
-// node-shard lock.
+// BenchmarkDepsCompleteParallel is the contended path: tasks on disjoint
+// regions completed from every CPU at once, all through the tracker's one
+// lock.
 func BenchmarkDepsCompleteParallel(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() tracker
-	}{
-		{"sharded", func() tracker { return deps.NewTracker() }},
-		{"mutex", func() tracker { return newMutexTracker() }},
+	b.ReportAllocs()
+	tr := deps.NewTracker()
+	// Pre-register b.N two-task chains (producer → consumer on a private
+	// region): Complete of a producer walks an edge and releases exactly
+	// one successor, like a real dataflow step.
+	for i := 0; i < b.N; i++ {
+		key := "r" + strconv.Itoa(i)
+		tr.Register(uint64(2*i+1), []deps.Access{{Key: key, Mode: deps.Out}})
+		tr.Register(uint64(2*i+2), []deps.Access{{Key: key, Mode: deps.In}})
 	}
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			tr := impl.mk()
-			// Pre-register b.N two-task chains (producer → consumer on a
-			// private region): Complete of a producer walks an edge and
-			// releases exactly one successor, like a real dataflow step.
-			for i := 0; i < b.N; i++ {
-				key := "r" + strconv.Itoa(i)
-				tr.Register(uint64(2*i+1), []deps.Access{{Key: key, Mode: deps.Out}})
-				tr.Register(uint64(2*i+2), []deps.Access{{Key: key, Mode: deps.In}})
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			i := next.Add(1) - 1
+			released := tr.Complete(uint64(2*i + 1))
+			if len(released) != 1 {
+				b.Errorf("chain %d released %v", i, released)
+				return
 			}
-			var next atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := next.Add(1) - 1
-					released := tr.Complete(uint64(2*i + 1))
-					if len(released) != 1 {
-						b.Errorf("chain %d released %v", i, released)
-						return
-					}
-					tr.Complete(released[0])
-				}
-			})
-		})
-	}
+			tr.Complete(released[0])
+		}
+	})
 }
 
 // ---- sched: successor release ----
@@ -145,126 +120,93 @@ func BenchmarkSchedRelease(b *testing.B) {
 // BenchmarkDirectPingPong is the uncontended matcher path: one goroutine,
 // one mailbox, send then receive.
 func BenchmarkDirectPingPong(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() dist.Transport
-	}{
-		{"sharded", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
-	}
+	b.ReportAllocs()
 	payload := buffer.NewF64(16)
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			d := impl.mk()
-			m := dist.Match{Src: 0, Dst: 1, Tag: 7}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Send(m, payload)
-				if _, err := d.Recv(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	d := dist.NewDirect()
+	m := dist.Match{Src: 0, Dst: 1, Tag: 7}
+	for i := 0; i < b.N; i++ {
+		d.Send(m, payload)
+		if _, err := d.Recv(m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkDirectContended runs one sender/receiver mailbox per CPU in
-// parallel: disjoint traffic that the mutex baseline still serializes on its
-// global lock.
+// parallel: disjoint traffic that never blocks, serialized only by the
+// table's one lock — the one shape where that lock costs throughput
+// (DESIGN.md §6 has the numbers).
 func BenchmarkDirectContended(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() dist.Transport
-	}{
-		{"sharded", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
-	}
+	b.ReportAllocs()
 	payload := buffer.NewF64(16)
-	for _, impl := range impls {
-		b.Run(impl.name, func(b *testing.B) {
-			b.ReportAllocs()
-			d := impl.mk()
-			var lane atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				m := dist.Match{Src: int(lane.Add(1)), Dst: 0, Tag: 3}
-				for pb.Next() {
-					d.Send(m, payload)
-					if _, err := d.Recv(m); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
+	d := dist.NewDirect()
+	var lane atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		m := dist.Match{Src: int(lane.Add(1)), Dst: 0, Tag: 3}
+		for pb.Next() {
+			d.Send(m, payload)
+			if _, err := d.Recv(m); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
-// BenchmarkDirectHerd is the thundering-herd scenario from ROADMAP: 255
-// receivers — a 256-rank World's worth — parked on unrelated mailboxes
-// while two goroutines ping-pong through the matcher. Every message's
-// arrival must wake someone; the mutex baseline's Send broadcasts on the
-// single condition variable, waking all 255 bystanders to recheck and
-// re-park per message, while the sharded matcher wakes only the couple of
-// bystanders that hash to the sender's shard. The ping-ponger genuinely
-// blocks in Recv, so the bystanders' rechecks are on the critical path —
-// exactly as in a World where most ranks sit in blocking receives.
+// BenchmarkDirectHerd is the thundering-herd scenario: 255 receivers — a
+// 256-rank World's worth — parked on unrelated mailboxes while two
+// goroutines ping-pong through the matcher. A Send wakes only a receiver
+// parked on its own mailbox, so the bystanders stay asleep; a table that
+// broadcast every send to every parked receiver would wake all 255 to
+// recheck and re-park per message. The ping-ponger genuinely blocks in
+// Recv, so any bystander wakeups are on the critical path — exactly as in
+// a World where most ranks sit in blocking receives.
 func BenchmarkDirectHerd(b *testing.B) {
 	const parked = 255
-	impls := []struct {
-		name string
-		mk   func() dist.Transport
-	}{
-		{"sharded", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
-	}
-	payload := buffer.NewF64(16)
-	for _, impl := range impls {
-		b.Run(impl.name+"/parked="+strconv.Itoa(parked), func(b *testing.B) {
-			b.ReportAllocs()
-			d := impl.mk()
-			var wg sync.WaitGroup
-			for i := 0; i < parked; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					// Never matched; unblocked by Close with ErrClosed.
-					d.Recv(dist.Match{Src: 1000 + i, Dst: i, Tag: 9})
-				}(i)
-			}
-			ping := dist.Match{Src: 0, Dst: 1, Tag: 7}
-			pong := dist.Match{Src: 1, Dst: 0, Tag: 7}
+	b.Run("parked="+strconv.Itoa(parked), func(b *testing.B) {
+		b.ReportAllocs()
+		payload := buffer.NewF64(16)
+		d := dist.NewDirect()
+		var wg sync.WaitGroup
+		for i := 0; i < parked; i++ {
 			wg.Add(1)
-			go func() { // responder
+			go func(i int) {
 				defer wg.Done()
-				for {
-					if _, err := d.Recv(ping); err != nil {
-						return
-					}
-					d.Send(pong, payload)
+				// Never matched; unblocked by Close with ErrClosed.
+				d.Recv(dist.Match{Src: 1000 + i, Dst: i, Tag: 9})
+			}(i)
+		}
+		ping := dist.Match{Src: 0, Dst: 1, Tag: 7}
+		pong := dist.Match{Src: 1, Dst: 0, Tag: 7}
+		wg.Add(1)
+		go func() { // responder
+			defer wg.Done()
+			for {
+				if _, err := d.Recv(ping); err != nil {
+					return
 				}
-			}()
-			// One untimed round plus a settle delay lets every bystander
-			// actually park before timing starts, so the first measured
-			// iterations already pay the full wake-up bill.
+				d.Send(pong, payload)
+			}
+		}()
+		// One untimed round plus a settle delay lets every bystander
+		// actually park before timing starts, so the first measured
+		// iterations already run against the full parked set.
+		d.Send(ping, payload)
+		if _, err := d.Recv(pong); err != nil {
+			b.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			d.Send(ping, payload)
 			if _, err := d.Recv(pong); err != nil {
 				b.Fatal(err)
 			}
-			time.Sleep(50 * time.Millisecond)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Send(ping, payload)
-				if _, err := d.Recv(pong); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			d.Close()
-			wg.Wait()
-		})
-	}
+		}
+		b.StopTimer()
+		d.Close()
+		wg.Wait()
+	})
 }
 
 // ---- whole Worlds at scale ----
@@ -563,8 +505,7 @@ func BenchmarkCholeskyFlatVsHier(b *testing.B) {
 }
 
 // BenchmarkWorldScale runs the mixed-traffic World at 64/128/256 ranks over
-// the sharded Direct, the frozen mutex matcher, and the Sim fabric
-// (Marenostrum cost model). One op is a whole World lifetime: construction,
+// the Direct matcher and the Sim fabric (Marenostrum cost model). One op is a whole World lifetime: construction,
 // traffic, drain, shutdown.
 func BenchmarkWorldScale(b *testing.B) {
 	transports := []struct {
@@ -572,7 +513,6 @@ func BenchmarkWorldScale(b *testing.B) {
 		mk   func() dist.Transport
 	}{
 		{"direct", func() dist.Transport { return dist.NewDirect() }},
-		{"mutex", func() dist.Transport { return newMutexMatcher() }},
 		{"sim", func() dist.Transport { return dist.NewSim(simnet.Marenostrum()) }},
 	}
 	for _, tr := range transports {

@@ -8,8 +8,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"appfit/internal/cluster"
 	"appfit/internal/deps"
@@ -107,25 +108,20 @@ func WAcc(key string, bytes int64) Acc  { return Acc{Key: key, Mode: deps.Out, B
 func RWAcc(key string, bytes int64) Acc { return Acc{Key: key, Mode: deps.Inout, Bytes: bytes} }
 
 // JobBuilder accumulates tasks in program order and derives the dependency
-// edges (RAW, WAR, WAW) from their declared accesses, exactly like the
-// runtime's tracker; cross-node edges carry the bytes of the region that
-// created them.
+// edges (RAW, WAR, WAW) from their declared accesses through the runtime
+// tracker's own rule (deps.Regions); cross-node edges carry the bytes of
+// the region that created them.
 type JobBuilder struct {
-	cm  CostModel
-	job cluster.Job
-
-	lastWriter map[string]int // key -> task index (-1 none)
-	readers    map[string][]int
+	cm      CostModel
+	job     cluster.Job
+	regions deps.Regions
+	accs    []deps.Access // Task's scratch
+	edges   []deps.Edge   // Task's scratch
 }
 
 // NewJobBuilder returns a builder for a named job.
 func NewJobBuilder(name string, cm CostModel) *JobBuilder {
-	return &JobBuilder{
-		cm:         cm,
-		job:        cluster.Job{Name: name},
-		lastWriter: make(map[string]int),
-		readers:    make(map[string][]int),
-	}
+	return &JobBuilder{cm: cm, job: cluster.Job{Name: name}}
 }
 
 // SetInputBytes records the benchmark input footprint.
@@ -137,62 +133,40 @@ func (b *JobBuilder) SetInputBytes(n int64) { b.job.InputBytes = n }
 func (b *JobBuilder) Task(label string, node int, flops, memBytes int64, accs ...Acc) int {
 	idx := len(b.job.Tasks)
 	var argBytes int64
-	predBytes := map[int]int64{}
-	note := func(p int, bytes int64) {
-		if p < 0 {
-			return
-		}
-		if old, ok := predBytes[p]; !ok || bytes > old {
-			predBytes[p] = bytes
-		}
-	}
+	b.accs = b.accs[:0]
 	for _, a := range accs {
 		argBytes += a.Bytes
-		if a.Mode.Reads() {
-			if w, ok := b.lastWriter[a.Key]; ok {
-				note(w, a.Bytes)
-			}
-		}
-		if a.Mode.Writes() {
-			// WAW and WAR edges carry no payload: the successor
-			// overwrites the region, it does not consume the data (an
-			// inout's consumption is covered by its read access above).
-			if w, ok := b.lastWriter[a.Key]; ok {
-				note(w, 0)
-			}
-			for _, rd := range b.readers[a.Key] {
-				if rd != idx {
-					note(rd, 0)
-				}
-			}
-		}
+		b.accs = append(b.accs, deps.Access{Key: a.Key, Mode: a.Mode})
 	}
-	for _, a := range accs {
-		if a.Mode.Writes() {
-			b.lastWriter[a.Key] = idx
-			b.readers[a.Key] = b.readers[a.Key][:0]
-		}
-		if a.Mode == deps.In {
-			b.readers[a.Key] = append(b.readers[a.Key], idx)
-		}
-	}
+	// Task ids are indices + 1: the rule reserves id 0 for "no task".
+	b.edges = b.regions.Add(b.edges[:0], uint64(idx+1), b.accs)
+	// Sort by predecessor: each predecessor's edges become adjacent and
+	// merge into one Deps entry, and Deps come out ascending, the order
+	// the sweep engine's content-addressed cache keys were built on.
+	slices.SortFunc(b.edges, func(x, y deps.Edge) int { return cmp.Compare(x.Pred, y.Pred) })
 	t := cluster.Task{
 		Label:    label,
 		Node:     node,
 		Cost:     b.cm.Cost(flops, memBytes),
 		ArgBytes: argBytes,
 	}
-	// Emit edges in sorted predecessor order: map iteration would build a
-	// different (if equivalent) job each call, splitting content-addressed
-	// cache keys across otherwise-identical requests.
-	preds := make([]int, 0, len(predBytes))
-	for p := range predBytes {
-		preds = append(preds, p)
-	}
-	sort.Ints(preds)
-	for _, p := range preds {
+	for _, e := range b.edges {
+		// A RAW edge carries the bytes its access reads. WAW and WAR
+		// edges carry no payload: the successor overwrites the region, it
+		// does not consume the data (an inout's consumption is its RAW
+		// edge). A predecessor reached through several accesses carries
+		// the largest.
+		var bytes int64
+		if e.RAW {
+			bytes = accs[e.Access].Bytes
+		}
+		p := int(e.Pred - 1)
+		if k := len(t.Deps); k > 0 && t.Deps[k-1] == p {
+			t.DepBytes[k-1] = max(t.DepBytes[k-1], bytes)
+			continue
+		}
 		t.Deps = append(t.Deps, p)
-		t.DepBytes = append(t.DepBytes, predBytes[p])
+		t.DepBytes = append(t.DepBytes, bytes)
 	}
 	b.job.Tasks = append(b.job.Tasks, t)
 	return idx

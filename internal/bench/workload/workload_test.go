@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"appfit/internal/cluster"
 	"appfit/internal/deps"
+	"appfit/internal/xrand"
 )
 
 func TestScaleString(t *testing.T) {
@@ -150,5 +153,56 @@ func TestJobBuilderDeterministic(t *testing.T) {
 	want := []int{0, 1, 2}
 	if got := j1.Tasks[3].Deps; !reflect.DeepEqual(got, want) {
 		t.Fatalf("fan-in deps %v, want sorted %v", got, want)
+	}
+}
+
+// TestJobBuilderMatchesTracker: over random access streams, the simulator's
+// jobs carry exactly the runtime tracker's edges. Each task's Deps count is
+// the tracker's pending count, the totals agree, and completing tasks in
+// program order releases each task exactly when its highest-index
+// predecessor in Deps completes, so the two predecessor sets are equal.
+func TestJobBuilderMatchesTracker(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		const n = 50
+		jb := NewJobBuilder("prop", DefaultCostModel())
+		tr := deps.NewTracker()
+		for i := 0; i < n; i++ {
+			var accs []Acc
+			var daccs []deps.Access
+			for j := 1 + r.Intn(3); j > 0; j-- {
+				a := Acc{Key: fmt.Sprintf("k%d", r.Intn(6)), Mode: deps.Mode(r.Intn(3)), Bytes: int64(1 + r.Intn(64))}
+				accs = append(accs, a)
+				daccs = append(daccs, deps.Access{Key: a.Key, Mode: a.Mode})
+			}
+			jb.Task("t", 0, 1, 1, accs...)
+			tr.Register(uint64(i+1), daccs)
+		}
+		job := jb.Job()
+		edges := 0
+		for i, task := range job.Tasks {
+			edges += len(task.Deps)
+			if got := tr.Pending(uint64(i + 1)); got != len(task.Deps) {
+				t.Logf("seed %d: task %d has %d deps, tracker pending %d", seed, i, len(task.Deps), got)
+				return false
+			}
+		}
+		if edges != tr.Edges() {
+			t.Logf("seed %d: job has %d edges, tracker %d", seed, edges, tr.Edges())
+			return false
+		}
+		for p := 0; p < n; p++ {
+			for _, s := range tr.Complete(uint64(p + 1)) {
+				d := job.Tasks[s-1].Deps
+				if len(d) == 0 || d[len(d)-1] != p {
+					t.Logf("seed %d: completing %d released %d, whose deps are %v", seed, p, s-1, d)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

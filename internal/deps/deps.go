@@ -9,18 +9,15 @@
 // goroutine with concurrent completions, which matches how a task-parallel
 // program submits: one main thread creates tasks while workers finish them.
 //
-// Internally the tracker is lock-striped rather than globally locked: region
-// state lives in hash-sharded tables, the node table is sharded by task id,
-// and per-node pending counts are atomics guarded against premature release
-// by a registration token. Complete calls on tasks with disjoint successor
-// sets touch no common lock, so completions on independent subgraphs never
-// serialize (see DESIGN.md §6).
+// The RAW/WAR/WAW rule itself lives in Regions, so the virtual-time
+// simulator's job builder derives exactly the edges the runtime's Tracker
+// does. The Tracker is one mutex over a region history and a table of live
+// nodes (see DESIGN.md §6).
 package deps
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Mode declares how a task accesses a region.
@@ -61,43 +58,67 @@ type Access struct {
 	Mode Mode
 }
 
+// Edge is one dependency the RAW/WAR/WAW rule derives for a new task: Pred
+// must finish before it. Access indexes the new task's access list at the
+// declaration that created the edge; RAW reports whether that declaration
+// reads the value Pred wrote (read-after-write), as opposed to only being
+// ordered behind Pred (write-after-write, write-after-read).
+type Edge struct {
+	Pred   uint64
+	Access int
+	RAW    bool
+}
+
 // regionState tracks, per region, the last task that wrote it and the tasks
 // that have read it since that write. Writers depend on the previous writer
 // (WAW) and all readers since (WAR); readers depend on the last writer (RAW).
-// Region state is only ever touched by the registering goroutine, so it
-// needs no lock of its own; the shard mutex protects the map structure.
 type regionState struct {
 	lastWriter uint64 // 0 = none
 	readers    []uint64
 }
 
-// derivePreds is the one edge-derivation rule, shared by the online Tracker
-// and the static Graph: scan every access against its region state collecting
-// predecessor ids, then apply the state updates, so a task that both reads
-// and writes disjoint declarations of the same key behaves like inout.
-// get must return a stable *regionState for a key (creating it if missing).
-func derivePreds(get func(string) *regionState, id uint64, accesses []Access) map[uint64]bool {
-	preds := map[uint64]bool{}
-	states := make([]*regionState, len(accesses))
+// Regions is the access history the dependency rule runs over. It is the
+// one edge-derivation rule of the repo: the online Tracker and the
+// simulator's job builder both derive their edges through Add. The zero
+// value is ready to use; it is not safe for concurrent use.
+type Regions struct {
+	m      map[string]*regionState
+	states []*regionState // Add's scratch, one per access
+}
+
+// Add derives the edges of task id (nonzero, added in program order) from
+// its declared accesses and appends them to dst, then records the task in
+// the history. Every access is scanned against the history before any of
+// it is updated, so a task that both reads and writes disjoint declarations
+// of the same key behaves like inout. Edges come out in access order, and a
+// predecessor may appear more than once (through several accesses, or as
+// both RAW and WAW of one inout); callers deduplicate.
+func (r *Regions) Add(dst []Edge, id uint64, accesses []Access) []Edge {
+	if r.m == nil {
+		r.m = make(map[string]*regionState)
+	}
+	r.states = r.states[:0]
 	for i, a := range accesses {
-		rs := get(a.Key)
-		states[i] = rs
+		rs := r.m[a.Key]
+		if rs == nil {
+			rs = &regionState{}
+			r.m[a.Key] = rs
+		}
+		r.states = append(r.states, rs)
 		if a.Mode.Reads() && rs.lastWriter != 0 {
-			preds[rs.lastWriter] = true // RAW
+			dst = append(dst, Edge{Pred: rs.lastWriter, Access: i, RAW: true})
 		}
 		if a.Mode.Writes() {
 			if rs.lastWriter != 0 {
-				preds[rs.lastWriter] = true // WAW
+				dst = append(dst, Edge{Pred: rs.lastWriter, Access: i}) // WAW
 			}
-			for _, r := range rs.readers {
-				if r != id {
-					preds[r] = true // WAR
-				}
+			for _, rd := range rs.readers {
+				dst = append(dst, Edge{Pred: rd, Access: i}) // WAR
 			}
 		}
 	}
 	for i, a := range accesses {
-		rs := states[i]
+		rs := r.states[i]
 		if a.Mode.Writes() {
 			rs.lastWriter = id
 			rs.readers = rs.readers[:0]
@@ -106,123 +127,40 @@ func derivePreds(get func(string) *regionState, id uint64, accesses []Access) ma
 			rs.readers = append(rs.readers, id)
 		}
 	}
-	return preds
+	return dst
 }
 
-// node is one registered task. pending counts unfinished predecessors plus,
-// while Register is still scanning accesses, one registration token that
-// keeps a racing Complete of an early predecessor from releasing the task
-// before its remaining edges exist. mu guards done and successors — the only
-// state a Register (appending an edge) and a Complete (draining edges) can
-// contend on, and only when the two tasks are actually adjacent in the graph.
+// node is one registered, not yet completed task: its count of unfinished
+// predecessors and the tasks waiting on it.
 type node struct {
-	id      uint64
-	pending atomic.Int32
-
-	mu         sync.Mutex
-	done       bool
+	id         uint64
+	pending    int
 	successors []*node
 }
 
-const (
-	// regionShards and nodeShards are the striping widths. 64 keeps the
-	// per-Tracker footprint small (a dist.World holds one tracker per rank)
-	// while making two concurrent completions collide on a node-shard lock
-	// only 1/64 of the time; both must be powers of two so the shard index
-	// is a mask, not a modulo.
-	regionShards = 64
-	nodeShards   = 64
-)
-
-type regionShard struct {
-	mu sync.Mutex
-	m  map[string]*regionState
-}
-
-type nodeShard struct {
-	mu sync.Mutex
-	m  map[uint64]*node
-}
-
 // Tracker builds the dependency graph incrementally and reports readiness.
-// Register is single-goroutine (the program's submitting thread); Complete,
-// Pending, Edges and Tasks may be called concurrently from any goroutine.
+// One mutex guards all of it: the runtime already serializes Submit and
+// every completion on its own lock, so striping the tracker could not
+// remove any serialization (see DESIGN.md §6). Register is called in
+// program order (the program's submitting thread); Complete, Pending,
+// Edges and Tasks may be called concurrently from any goroutine.
 type Tracker struct {
-	regions [regionShards]regionShard
-	nodes   [nodeShards]nodeShard
-	edges   atomic.Int64
-	tasks   atomic.Int64
+	mu      sync.Mutex
+	regions Regions          // guarded by mu
+	nodes   map[uint64]*node // guarded by mu; completed nodes are freed
+	scratch []Edge           // guarded by mu; Register's edge buffer
+	edges   int              // guarded by mu
+	tasks   int              // guarded by mu
 }
 
 // NewTracker returns an empty Tracker.
 func NewTracker() *Tracker {
-	t := &Tracker{}
-	t.init()
-	return t
-}
-
-func (t *Tracker) init() {
-	for i := range t.regions {
-		t.regions[i].m = make(map[string]*regionState)
-	}
-	for i := range t.nodes {
-		t.nodes[i].m = make(map[uint64]*node)
-	}
-}
-
-// fnv1a is the region-key hash: FNV-1a, cheap and well-mixed for the short
-// human-readable keys runtimes use ("pos[3]", "A[2][1]").
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// mix64 finalizes an integer hash (splitmix64's finalizer) so dense task ids
-// spread over the node shards instead of marching through them in order.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// region returns the state for key, creating it if missing. Only the shard
-// map is protected; the returned state is private to the registrar.
-func (t *Tracker) region(key string) *regionState {
-	sh := &t.regions[fnv1a(key)&(regionShards-1)]
-	sh.mu.Lock()
-	rs := sh.m[key]
-	if rs == nil {
-		rs = &regionState{}
-		sh.m[key] = rs
-	}
-	sh.mu.Unlock()
-	return rs
-}
-
-func (t *Tracker) nodeShard(id uint64) *nodeShard {
-	return &t.nodes[mix64(id)&(nodeShards-1)]
-}
-
-// lookup returns the live node for id, or nil if unknown or completed.
-func (t *Tracker) lookup(id uint64) *node {
-	sh := t.nodeShard(id)
-	sh.mu.Lock()
-	n := sh.m[id]
-	sh.mu.Unlock()
-	return n
+	return &Tracker{nodes: make(map[uint64]*node)}
 }
 
 // Register adds task id (must be nonzero and never used before) with its
 // declared accesses, in program order. It returns true if the task has no
-// unfinished predecessors and is immediately ready to run. Register must be
-// called from a single goroutine; Complete may run concurrently.
+// unfinished predecessors and is immediately ready to run.
 //
 // Duplicate detection is best-effort: reusing a live id panics, but because
 // completed nodes are freed (the tracker's memory tracks the live frontier,
@@ -232,60 +170,49 @@ func (t *Tracker) Register(id uint64, accesses []Access) (ready bool) {
 	if id == 0 {
 		panic("deps: task id 0 is reserved")
 	}
-	n := &node{id: id}
-	// The registration token: pending cannot reach zero — and the task
-	// cannot be released by a concurrent Complete — until the final Add(-1)
-	// below, after every edge has been counted.
-	n.pending.Store(1)
-	sh := t.nodeShard(id)
-	sh.mu.Lock()
-	if _, dup := sh.m[id]; dup {
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, dup := t.nodes[id]; dup {
 		panic(fmt.Sprintf("deps: duplicate task id %d", id))
 	}
-	sh.m[id] = n
-	sh.mu.Unlock()
-	t.tasks.Add(1)
-
-	for p := range derivePreds(t.region, id, accesses) {
-		pn := t.lookup(p)
-		if pn == nil {
+	n := &node{id: id}
+	t.nodes[id] = n
+	t.tasks++
+	t.scratch = t.regions.Add(t.scratch[:0], id, accesses)
+	for _, e := range t.scratch {
+		p := t.nodes[e.Pred]
+		if p == nil {
 			continue // predecessor already completed
 		}
-		pn.mu.Lock()
-		if !pn.done {
-			pn.successors = append(pn.successors, n)
-			n.pending.Add(1)
-			t.edges.Add(1)
+		// Every edge of n is appended during this call, so a predecessor
+		// already holding n holds it last.
+		if k := len(p.successors); k > 0 && p.successors[k-1] == n {
+			continue
 		}
-		pn.mu.Unlock()
+		p.successors = append(p.successors, n)
+		n.pending++
 	}
-	return n.pending.Add(-1) == 0
+	t.edges += n.pending
+	return n.pending == 0
 }
 
 // Complete marks task id finished and returns the ids of successor tasks
 // that became ready as a result, as a batch the caller can hand to the
-// scheduler in one submission. Complete calls on tasks with disjoint
-// successor sets share no lock. Each task must be completed exactly once.
+// scheduler in one submission. Each task must be completed exactly once.
 func (t *Tracker) Complete(id uint64) (newlyReady []uint64) {
-	sh := t.nodeShard(id)
-	sh.mu.Lock()
-	n := sh.m[id]
-	delete(sh.m, id)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.nodes[id]
 	if n == nil {
 		panic(fmt.Sprintf("deps: Complete of unknown or already-completed task %d", id))
 	}
-	n.mu.Lock()
-	n.done = true
-	succs := n.successors
-	n.successors = nil
-	n.mu.Unlock()
-	for _, s := range succs {
-		switch p := s.pending.Add(-1); {
-		case p == 0:
+	delete(t.nodes, id)
+	for _, s := range n.successors {
+		s.pending--
+		switch {
+		case s.pending == 0:
 			newlyReady = append(newlyReady, s.id)
-		case p < 0:
+		case s.pending < 0:
 			panic(fmt.Sprintf("deps: negative pending for task %d", s.id))
 		}
 	}
@@ -296,99 +223,35 @@ func (t *Tracker) Complete(id uint64) (newlyReady []uint64) {
 // task is unknown (never registered, or already completed). It is intended
 // for tests and introspection.
 func (t *Tracker) Pending(id uint64) int {
-	n := t.lookup(id)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.nodes[id]
 	if n == nil {
 		return -1
 	}
-	return int(n.pending.Load())
+	return n.pending
 }
 
 // Edges returns the total number of dependency edges created so far.
-func (t *Tracker) Edges() int { return int(t.edges.Load()) }
+func (t *Tracker) Edges() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.edges
+}
 
 // Tasks returns the number of tasks registered so far.
-func (t *Tracker) Tasks() int { return int(t.tasks.Load()) }
+func (t *Tracker) Tasks() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.tasks
+}
 
-// Reset clears all state so the tracker can be reused for a fresh graph. It
-// must not race with Register or Complete.
+// Reset clears all state so the tracker can be reused for a fresh graph.
 func (t *Tracker) Reset() {
-	t.init()
-	t.edges.Store(0)
-	t.tasks.Store(0)
-}
-
-// Graph is a static DAG snapshot used by the virtual-time cluster simulator:
-// workloads build their task graph once, then the simulator list-schedules
-// it. Build one with NewGraph and AddTask in program order.
-type Graph struct {
-	regions map[string]*regionState
-	// Preds[i] lists predecessor indices of task i; Succs the inverse.
-	Preds, Succs [][]int
-	ids          []uint64
-}
-
-// NewGraph returns an empty static graph builder.
-func NewGraph() *Graph {
-	return &Graph{regions: make(map[string]*regionState)}
-}
-
-// AddTask registers the next task (index len-1 after the call) with its
-// accesses and records its edges. Returns the task's index.
-func (g *Graph) AddTask(accesses []Access) int {
-	idx := len(g.ids)
-	id := uint64(idx + 1)
-	g.ids = append(g.ids, id)
-	g.Preds = append(g.Preds, nil)
-	g.Succs = append(g.Succs, nil)
-
-	get := func(key string) *regionState {
-		rs := g.regions[key]
-		if rs == nil {
-			rs = &regionState{}
-			g.regions[key] = rs
-		}
-		return rs
-	}
-	for p := range derivePreds(get, id, accesses) {
-		pi := int(p - 1)
-		g.Preds[idx] = append(g.Preds[idx], pi)
-		g.Succs[pi] = append(g.Succs[pi], idx)
-	}
-	return idx
-}
-
-// Len returns the number of tasks in the graph.
-func (g *Graph) Len() int { return len(g.ids) }
-
-// Roots returns the indices of tasks with no predecessors.
-func (g *Graph) Roots() []int {
-	var roots []int
-	for i, p := range g.Preds {
-		if len(p) == 0 {
-			roots = append(roots, i)
-		}
-	}
-	return roots
-}
-
-// CriticalPathLen returns the length (in tasks) of the longest chain,
-// assuming unit task cost. Useful for analytic speedup bounds in tests.
-func (g *Graph) CriticalPathLen() int {
-	depth := make([]int, g.Len())
-	longest := 0
-	// Tasks were added in program order, so predecessors precede
-	// successors and one forward pass suffices.
-	for i := range g.Preds {
-		d := 1
-		for _, p := range g.Preds[i] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[i] = d
-		if d > longest {
-			longest = d
-		}
-	}
-	return longest
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.regions = Regions{}
+	t.nodes = make(map[uint64]*node)
+	t.edges = 0
+	t.tasks = 0
 }

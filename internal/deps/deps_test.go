@@ -2,6 +2,7 @@ package deps
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -235,59 +236,24 @@ func TestPropertyAllTasksEventuallyReady(t *testing.T) {
 	}
 }
 
-func TestGraphMatchesTracker(t *testing.T) {
-	// The static Graph must derive the same edges as the online Tracker.
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		const n = 40
-		var accs [][]Access
-		for i := 0; i < n; i++ {
-			na := 1 + r.Intn(3)
-			var acc []Access
-			for j := 0; j < na; j++ {
-				acc = append(acc, Access{
-					Key:  fmt.Sprintf("k%d", r.Intn(6)),
-					Mode: Mode(r.Intn(3)),
-				})
-			}
-			accs = append(accs, acc)
-		}
-		tr := NewTracker()
-		g := NewGraph()
-		for i, acc := range accs {
-			tr.Register(uint64(i+1), acc)
-			g.AddTask(acc)
-		}
-		for i := 0; i < n; i++ {
-			if tr.Pending(uint64(i+1)) != len(g.Preds[i]) {
-				return false
-			}
-		}
-		return true
+// TestRegionsReportsEdgeCause pins what Add reports beyond the predecessor:
+// which access created each edge, and whether it is a RAW edge. The job
+// builder weights edges by exactly these two fields.
+func TestRegionsReportsEdgeCause(t *testing.T) {
+	var r Regions
+	if e := r.Add(nil, 1, []Access{{"A", Out}, {"B", Out}}); len(e) != 0 {
+		t.Fatalf("first writer has edges %v", e)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	r.Add(nil, 2, []Access{{"A", In}})
+	got := r.Add(nil, 3, []Access{{"B", In}, {"A", Inout}})
+	want := []Edge{
+		{Pred: 1, Access: 0, RAW: true},  // B: read of 1's write
+		{Pred: 1, Access: 1, RAW: true},  // A: inout reads 1's write
+		{Pred: 1, Access: 1, RAW: false}, // A: and overwrites it (WAW)
+		{Pred: 2, Access: 1, RAW: false}, // A: after 2's read (WAR)
 	}
-}
-
-func TestGraphRootsAndCriticalPath(t *testing.T) {
-	g := NewGraph()
-	g.AddTask([]Access{{"A", Out}})           // 0
-	g.AddTask([]Access{{"A", Inout}})         // 1 <- 0
-	g.AddTask([]Access{{"B", Out}})           // 2 (independent)
-	g.AddTask([]Access{{"A", In}, {"B", In}}) // 3 <- 1, 2
-	roots := g.Roots()
-	if len(roots) != 2 || roots[0] != 0 || roots[1] != 2 {
-		t.Fatalf("roots = %v", roots)
-	}
-	if cp := g.CriticalPathLen(); cp != 3 {
-		t.Fatalf("critical path = %d, want 3 (0→1→3)", cp)
-	}
-	if g.Len() != 4 {
-		t.Fatalf("len = %d", g.Len())
-	}
-	if len(g.Succs[0]) != 1 || g.Succs[0][0] != 1 {
-		t.Fatalf("succs[0] = %v", g.Succs[0])
+	if !slices.Equal(got, want) {
+		t.Fatalf("edges %v, want %v", got, want)
 	}
 }
 
@@ -299,13 +265,5 @@ func BenchmarkRegisterChain(b *testing.B) {
 		if i > 0 {
 			tr.Complete(uint64(i))
 		}
-	}
-}
-
-func BenchmarkGraphAddTask(b *testing.B) {
-	g := NewGraph()
-	acc := []Access{{"A", In}, {"B", Inout}}
-	for i := 0; i < b.N; i++ {
-		g.AddTask(acc)
 	}
 }

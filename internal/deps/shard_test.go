@@ -10,14 +10,22 @@ import (
 	"appfit/internal/xrand"
 )
 
-// refTracker is the frozen pre-sharding tracker: one global mutex, map-based
-// nodes, the same RAW/WAR/WAW derivation. The property tests below hold the
-// sharded Tracker to exactly its schedules.
+// refTracker is the reference the Tracker is checked against: one global
+// mutex, map-based nodes, and its own copy of the RAW/WAR/WAW derivation
+// (collect predecessors into a set, then update the regions), written
+// independently of Regions.Add so a bug in the production rule or in the
+// Tracker's edge dedup shows up as a divergence. The property tests below
+// hold the Tracker to exactly its schedules.
 type refTracker struct {
 	mu      sync.Mutex
-	regions map[string]*regionState
+	regions map[string]*refRegion
 	nodes   map[uint64]*refNode
 	edges   int
+}
+
+type refRegion struct {
+	lastWriter uint64
+	readers    []uint64
 }
 
 type refNode struct {
@@ -28,7 +36,7 @@ type refNode struct {
 
 func newRefTracker() *refTracker {
 	return &refTracker{
-		regions: make(map[string]*regionState),
+		regions: make(map[string]*refRegion),
 		nodes:   make(map[uint64]*refNode),
 	}
 }
@@ -38,15 +46,36 @@ func (t *refTracker) Register(id uint64, accesses []Access) bool {
 	defer t.mu.Unlock()
 	n := &refNode{}
 	t.nodes[id] = n
-	get := func(key string) *regionState {
-		rs := t.regions[key]
+	preds := map[uint64]bool{}
+	for _, a := range accesses {
+		rs := t.regions[a.Key]
 		if rs == nil {
-			rs = &regionState{}
-			t.regions[key] = rs
+			rs = &refRegion{}
+			t.regions[a.Key] = rs
 		}
-		return rs
+		if a.Mode.Reads() && rs.lastWriter != 0 {
+			preds[rs.lastWriter] = true
+		}
+		if a.Mode.Writes() {
+			if rs.lastWriter != 0 {
+				preds[rs.lastWriter] = true
+			}
+			for _, r := range rs.readers {
+				preds[r] = true
+			}
+		}
 	}
-	for p := range derivePreds(get, id, accesses) {
+	for _, a := range accesses {
+		rs := t.regions[a.Key]
+		if a.Mode.Writes() {
+			rs.lastWriter = id
+			rs.readers = nil
+		}
+		if a.Mode == In {
+			rs.readers = append(rs.readers, id)
+		}
+	}
+	for p := range preds {
 		pn := t.nodes[p]
 		if pn == nil || pn.done {
 			continue
@@ -105,8 +134,8 @@ func sortedU64(xs []uint64) []uint64 {
 	return out
 }
 
-// TestShardedTrackerMatchesReference drives the sharded Tracker and the
-// single-lock reference through the same random graphs and the same random
+// TestShardedTrackerMatchesReference drives the Tracker and the
+// reference through the same random graphs and the same random
 // completion orders, and requires identical behavior at every step: the same
 // initial ready verdicts, the same per-task pending counts, the same edge
 // count, and the same released batch after every Complete. Identical release
@@ -119,12 +148,12 @@ func TestShardedTrackerMatchesReference(t *testing.T) {
 		const nkeys = 7
 		accs := randomAccesses(r, n, nkeys)
 
-		sharded := NewTracker()
+		tr := NewTracker()
 		ref := newRefTracker()
 		var ready []uint64
 		for i, acc := range accs {
 			id := uint64(i + 1)
-			rs, rr := sharded.Register(id, acc), ref.Register(id, acc)
+			rs, rr := tr.Register(id, acc), ref.Register(id, acc)
 			if rs != rr {
 				t.Errorf("seed %d: task %d ready %v vs reference %v", seed, id, rs, rr)
 				return false
@@ -133,12 +162,12 @@ func TestShardedTrackerMatchesReference(t *testing.T) {
 				ready = append(ready, id)
 			}
 		}
-		if sharded.Edges() != ref.edges {
-			t.Errorf("seed %d: edges %d vs reference %d", seed, sharded.Edges(), ref.edges)
+		if tr.Edges() != ref.edges {
+			t.Errorf("seed %d: edges %d vs reference %d", seed, tr.Edges(), ref.edges)
 			return false
 		}
 		for i := 1; i <= n; i++ {
-			if sp, rp := sharded.Pending(uint64(i)), ref.Pending(uint64(i)); sp != rp {
+			if sp, rp := tr.Pending(uint64(i)), ref.Pending(uint64(i)); sp != rp {
 				t.Errorf("seed %d: task %d pending %d vs reference %d", seed, i, sp, rp)
 				return false
 			}
@@ -150,7 +179,7 @@ func TestShardedTrackerMatchesReference(t *testing.T) {
 			ready[i] = ready[len(ready)-1]
 			ready = ready[:len(ready)-1]
 			done++
-			got := sortedU64(sharded.Complete(id))
+			got := sortedU64(tr.Complete(id))
 			want := sortedU64(ref.Complete(id))
 			if len(got) != len(want) {
 				t.Errorf("seed %d: Complete(%d) released %v, reference %v", seed, id, got, want)
@@ -171,10 +200,11 @@ func TestShardedTrackerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestShardedTrackerConcurrentComplete registers a wide random graph, then
-// completes ready tasks from many goroutines at once (the contention pattern
-// the sharding exists for) and checks every task is released exactly once.
-// Run under -race this also proves Register/Complete publication is sound.
+// TestShardedTrackerConcurrentComplete registers a wide random graph while
+// many goroutines complete ready tasks at once, and checks every task is
+// released exactly once. Run under -race this also proves Register/Complete
+// publication is sound. (The names of this test and the one above date from
+// when the Tracker was lock-striped.)
 func TestShardedTrackerConcurrentComplete(t *testing.T) {
 	const n = 4000
 	const workers = 8

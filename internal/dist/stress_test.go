@@ -119,11 +119,11 @@ func newScalars(n int) []buffer.F64 {
 	return b
 }
 
-// TestDirectShardedConcurrency hammers the sharded matcher directly (no
-// World): many sender/receiver goroutine pairs over many mailboxes, with
-// several mailboxes deliberately colliding on a shard, checking payloads
-// route and order correctly. Under -race this exercises the per-shard
-// lock/cond discipline.
+// TestDirectShardedConcurrency hammers the matcher directly (no World):
+// many sender/receiver goroutine pairs over many mailboxes, checking
+// payloads route and order correctly. Under -race this exercises the
+// table lock and the per-mailbox wait queues. (The name dates from when
+// the table was lock-striped.)
 func TestDirectShardedConcurrency(t *testing.T) {
 	d := NewDirect()
 	const pairs = 200
@@ -166,7 +166,7 @@ func TestDirectShardedConcurrency(t *testing.T) {
 }
 
 // TestWorld256RanksMixedTraffic is the scale gate from ROADMAP: a 256-rank
-// World over the sharded Direct transport running mixed traffic — ring
+// World over the Direct transport running mixed traffic — ring
 // point-to-point halo exchange, a dissemination barrier (8 rounds at 256
 // ranks), a ring allgather of per-rank scalars, and an allreduce — all
 // concurrently in flight. Must pass under -race; sized so the race

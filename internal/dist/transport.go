@@ -82,119 +82,101 @@ type Transport interface {
 	Close()
 }
 
-// directShards is the rendezvous table's striping width: Match-hashed, so a
-// Send wakes only the receivers parked on its own shard instead of every
-// blocked receiver in the World. 128 keeps two of a 256-rank World's
-// neighbor links on the same shard rare; power of two so the shard index is
-// a mask.
-const directShards = 128
-
-// directShard is one stripe of the rendezvous table: its own mutex, its own
-// mailbox map, and its own condition variable, so receivers parked here are
-// only woken by traffic that hashes here. Each shard carries its own closed
-// flag (set by Close under the shard lock) so Recv never needs a second,
-// table-wide lock.
-type directShard struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[Match][]buffer.Buffer
-	closed bool
+// waitQueue parks the receivers blocked on one mailbox. Its condition
+// variable shares the table's mutex, so a Send wakes only receivers that can
+// take its message; parked counts them, so the queue is dropped when its
+// last receiver leaves.
+type waitQueue struct {
+	cond   sync.Cond
+	parked int
 }
 
 // Direct is the in-process rendezvous matcher: an eager-send mailbox table
 // keyed by Match, FIFO per mailbox, with receivers blocking until a matching
-// message arrives. The table is sharded by Match-hash; see DESIGN.md §6.
+// message arrives. One mutex guards the table; receivers park on a wait
+// queue per mailbox (see DESIGN.md §6).
 type Direct struct {
-	shards [directShards]directShard
+	mu      sync.Mutex
+	queues  map[Match][]buffer.Buffer // guarded by mu
+	waiters map[Match]*waitQueue      // guarded by mu
+	closed  bool                      // guarded by mu
 }
 
 // NewDirect returns an empty matcher.
 func NewDirect() *Direct {
-	d := &Direct{}
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.queues = make(map[Match][]buffer.Buffer)
-		sh.cond = sync.NewCond(&sh.mu)
+	return &Direct{
+		queues:  make(map[Match][]buffer.Buffer),
+		waiters: make(map[Match]*waitQueue),
 	}
-	return d
-}
-
-// shard maps a mailbox to its stripe: FNV-1a over the Match fields with a
-// splitmix64 finalizer, so the dense small integers of rank ids and tags
-// (0, 1, 2, …) spread over the stripes instead of clustering in the low ones.
-func (d *Direct) shard(m Match) *directShard {
-	h := uint64(2166136261)
-	for _, f := range [...]uint64{m.Ctx, uint64(m.Src), uint64(m.Dst), uint64(m.Class), uint64(m.Tag), uint64(m.Sub)} {
-		h = (h ^ f) * 16777619
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	return &d.shards[h&(directShards-1)]
 }
 
 // Send implements Transport: the message is buffered immediately (MPI
-// eager mode); the sender never blocks on the receiver. Only receivers
-// parked on m's shard are woken.
+// eager mode); the sender never blocks on the receiver. At most one
+// receiver parked on m is woken: every one of them can take the message,
+// and one message satisfies only one.
 func (d *Direct) Send(m Match, payload buffer.Buffer) {
-	sh := d.shard(m)
-	sh.mu.Lock()
-	sh.queues[m] = append(sh.queues[m], payload)
-	sh.mu.Unlock()
-	// Broadcast, not Signal: the shard's waiters may be parked on different
-	// mailboxes, and a Signal could wake only a non-matching one, which
-	// would re-park and strand the matching receiver.
-	sh.cond.Broadcast()
+	d.mu.Lock()
+	d.queues[m] = append(d.queues[m], payload)
+	if w := d.waiters[m]; w != nil {
+		w.cond.Signal()
+	}
+	d.mu.Unlock()
 }
 
 // Recv implements Transport.
 func (d *Direct) Recv(m Match) (buffer.Buffer, error) {
-	sh := d.shard(m)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for {
-		if q := sh.queues[m]; len(q) > 0 {
+		if q := d.queues[m]; len(q) > 0 {
 			p := q[0]
 			if len(q) == 1 {
-				delete(sh.queues, m)
+				delete(d.queues, m)
 			} else {
 				// Nil the popped head before reslicing: q[1:] shares the
 				// backing array, which would otherwise keep the delivered
 				// payload reachable until the whole mailbox drains.
 				q[0] = nil
-				sh.queues[m] = q[1:]
+				d.queues[m] = q[1:]
 			}
 			return p, nil
 		}
-		if sh.closed {
+		if d.closed {
 			return nil, ErrClosed
 		}
-		sh.cond.Wait()
+		w := d.waiters[m]
+		if w == nil {
+			w = &waitQueue{}
+			w.cond.L = &d.mu
+			d.waiters[m] = w
+		}
+		w.parked++
+		w.cond.Wait()
+		w.parked--
+		if w.parked == 0 {
+			delete(d.waiters, m)
+		}
 	}
 }
 
 // Close implements Transport.
 func (d *Direct) Close() {
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		sh.closed = true
-		sh.mu.Unlock()
-		sh.cond.Broadcast()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.closed = true
+	for _, w := range d.waiters {
+		w.cond.Broadcast()
 	}
 }
 
 // Pending returns the number of sent-but-unreceived messages; tests use it
 // to assert a World drained its traffic.
 func (d *Direct) Pending() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	n := 0
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		for _, q := range sh.queues {
-			n += len(q)
-		}
-		sh.mu.Unlock()
+	for _, q := range d.queues {
+		n += len(q)
 	}
 	return n
 }

@@ -2,7 +2,11 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -374,113 +378,239 @@ func TestAllreduceRaggedPicksSmallestPayload(t *testing.T) {
 	}
 }
 
+// sdcRecorder wraps one rank's injector and records every SDC it injects:
+// for each task, which attempts flipped which bit of the task's outputs.
+type sdcRecorder struct {
+	fault.Injector
+	mu   sync.Mutex
+	sdc  map[[2]uint64]bool         // (task, attempt) drew an SDC
+	bits map[uint64]map[int64][]int // task → flipped bit → attempts
+}
+
+func newSDCRecorder(inner fault.Injector) *sdcRecorder {
+	return &sdcRecorder{Injector: inner, sdc: map[[2]uint64]bool{}, bits: map[uint64]map[int64][]int{}}
+}
+
+func (r *sdcRecorder) Draw(taskID uint64, attempt int, pDUE, pSDC float64) fault.Outcome {
+	o := r.Injector.Draw(taskID, attempt, pDUE, pSDC)
+	if o == fault.SDC {
+		r.mu.Lock()
+		r.sdc[[2]uint64{taskID, uint64(attempt)}] = true
+		r.mu.Unlock()
+	}
+	return o
+}
+
+func (r *sdcRecorder) BitIndex(taskID uint64, attempt int, bitLen int64) int64 {
+	bit := r.Injector.BitIndex(taskID, attempt, bitLen)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sdc[[2]uint64{taskID, uint64(attempt)}] {
+		if r.bits[taskID] == nil {
+			r.bits[taskID] = map[int64][]int{}
+		}
+		r.bits[taskID][bit] = append(r.bits[taskID][bit], attempt)
+	}
+	return bit
+}
+
+// sameBitSDC is one task whose attempts flipped the same output bit more
+// than once: corrupted outputs that agree bit for bit.
+type sameBitSDC struct {
+	Rank     int
+	Task     uint64
+	Bit      int64
+	Attempts []int
+}
+
+// sameBit lists the recorder's same-bit double SDCs, in (task, bit) order.
+func (r *sdcRecorder) sameBit(rank int) []sameBitSDC {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []sameBitSDC
+	for task, byBit := range r.bits {
+		for bit, attempts := range byBit {
+			if len(attempts) > 1 {
+				as := append([]int(nil), attempts...)
+				sort.Ints(as)
+				out = append(out, sameBitSDC{Rank: rank, Task: task, Bit: bit, Attempts: as})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Task != out[j].Task {
+			return out[i].Task < out[j].Task
+		}
+		return out[i].Bit < out[j].Bit
+	})
+	return out
+}
+
+// vectorCollectivesCase runs one seed of the vector-collectives property:
+// random member count, random (possibly empty) segment layout, random block
+// placement, and injected SDC + DUE under full replication, on a flat and
+// on a placed World. It returns the first result that differs from its
+// rank-order reference ("" if none) and every same-bit double SDC the
+// injectors produced.
+func vectorCollectivesCase(t *testing.T, seed uint64) (mismatch string, sameBit []sameBitSDC) {
+	rng := rand.New(rand.NewSource(int64(seed % (1 << 62))))
+	n := 2 + rng.Intn(5)       // 2..6 members
+	perNode := 1 + rng.Intn(n) // 1..n per node
+	counts := make([]int, n)
+	for i := range counts {
+		counts[i] = rng.Intn(5) // 0..4 elements
+	}
+	displs, total := vecDispls(counts)
+	if total == 0 {
+		counts[0] = 1
+		displs, total = vecDispls(counts)
+	}
+	data := make([][]float64, n)
+	for i := range data {
+		data[i] = make([]float64, total)
+		for j := range data[i] {
+			data[i][j] = float64(rng.Intn(2000) - 1000)
+		}
+	}
+	// Rank-order references; with integer data these are the unique
+	// exact results every algorithm must reproduce bitwise.
+	agRef := allgathervReference(data, counts, displs, total)
+	rsRef := make([][]float64, n)
+	for k := 0; k < n; k++ {
+		lo, hi := displs[k], displs[k]+counts[k]
+		acc := append([]float64(nil), data[0][lo:hi]...)
+		for j := 1; j < n; j++ {
+			OpSum(acc, data[j][lo:hi])
+		}
+		rsRef[k] = acc
+	}
+	arRef := make([]float64, total)
+	copy(arRef, data[0])
+	for j := 1; j < n; j++ {
+		OpSum(arRef, data[j])
+	}
+	for _, placed := range []bool{false, true} {
+		recs := make([]*sdcRecorder, n)
+		for rank := range recs {
+			recs[rank] = newSDCRecorder(fault.NewFixedRate(seed+uint64(rank)*13+1, 0.05, 0.05))
+		}
+		cfg := Config{Ranks: n, RT: func(rank int) rt.Config {
+			return rt.Config{Workers: 2, Selector: core.ReplicateAll{}, Injector: recs[rank]}
+		}}
+		if placed {
+			topo, err := simnet.BlockTopology(n, perNode, simnet.MemoryBus(), simnet.Marenostrum())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Topology = topo
+		}
+		w := NewWorld(cfg)
+		ag := make([]buffer.F64, n)
+		rs := make([]buffer.F64, n)
+		ar := make([]buffer.F64, n)
+		outs := make([]buffer.F64, n)
+		for i := 0; i < n; i++ {
+			ag[i] = buffer.NewF64(total)
+			copy(ag[i][displs[i]:displs[i]+counts[i]], data[i][displs[i]:displs[i]+counts[i]])
+			rs[i] = buffer.F64(append([]float64(nil), data[i]...))
+			ar[i] = buffer.F64(append([]float64(nil), data[i]...))
+			outs[i] = buffer.NewF64(counts[i])
+		}
+		c := w.Comm()
+		c.Allgatherv(1, "ag", ag, counts, displs)
+		c.ReduceScatterv(2, "rsin", "rsout", rs, outs, counts, OpSum)
+		c.AllreduceRabenseifner(3, "ar", ar, OpSum)
+		err := w.Shutdown()
+		for rank, rec := range recs {
+			sameBit = append(sameBit, rec.sameBit(rank)...)
+		}
+		if err != nil {
+			return fmt.Sprintf("placed=%v: %v", placed, err), sameBit
+		}
+		if mismatch != "" {
+			continue
+		}
+	check:
+		for i := 0; i < n; i++ {
+			for j := 0; j < total; j++ {
+				if ag[i][j] != agRef[j] {
+					mismatch = fmt.Sprintf("placed=%v: allgatherv member %d got %v want %v", placed, i, ag[i], agRef)
+					break check
+				}
+				if ar[i][j] != arRef[j] {
+					mismatch = fmt.Sprintf("placed=%v: rabenseifner member %d got %v want %v", placed, i, ar[i], arRef)
+					break check
+				}
+			}
+			for j := range rsRef[i] {
+				if outs[i][j] != rsRef[i][j] {
+					mismatch = fmt.Sprintf("placed=%v: reducescatterv member %d got %v want %v", placed, i, outs[i], rsRef[i])
+					break check
+				}
+			}
+		}
+	}
+	return mismatch, sameBit
+}
+
 // TestVectorCollectivesQuickBitwise is the property pin for the vector
-// collectives: over random member counts, random (possibly empty) segment
-// layouts, random block placements, and injected SDC + DUE under full
-// replication, Allgatherv, ReduceScatterv and the Rabenseifner allreduce
-// must reproduce their flat references bitwise — on flat and placed Worlds
-// alike. Integer-valued data keeps every fold order exact, so hier's
-// node-grouped folds and Rabenseifner's sub-range folds must agree with the
-// rank-order references to the last bit.
+// collectives: over random seeds of vectorCollectivesCase, Allgatherv,
+// ReduceScatterv and the Rabenseifner allreduce must reproduce their flat
+// references bitwise — on flat and placed Worlds alike. Integer-valued data
+// keeps every fold order exact, so hier's node-grouped folds and
+// Rabenseifner's sub-range folds must agree with the rank-order references
+// to the last bit.
+//
+// The one exemption is a seed whose injectors flip the same bit of one
+// task in two attempts: those corrupted outputs agree, outvote the clean
+// one and are adopted undetected. That is the documented limit of output
+// comparison (TestSameBitSDCsAgreeUndetected in internal/rt, DESIGN.md
+// §2–§3), not a collective bug, so such a run is logged and not held to
+// the bitwise check; TestVectorCollectivesSameBitSeed pins one.
 func TestVectorCollectivesQuickBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-check property test")
 	}
 	prop := func(seed uint64) bool {
-		rng := rand.New(rand.NewSource(int64(seed % (1 << 62))))
-		n := 2 + rng.Intn(5)       // 2..6 members
-		perNode := 1 + rng.Intn(n) // 1..n per node
-		counts := make([]int, n)
-		for i := range counts {
-			counts[i] = rng.Intn(5) // 0..4 elements
+		mismatch, sameBit := vectorCollectivesCase(t, seed)
+		if len(sameBit) > 0 {
+			t.Logf("seed %d: same-bit double SDC %+v, bitwise check waived (%s)", seed, sameBit, mismatch)
+			return true
 		}
-		displs, total := vecDispls(counts)
-		if total == 0 {
-			counts[0] = 1
-			displs, total = vecDispls(counts)
-		}
-		data := make([][]float64, n)
-		for i := range data {
-			data[i] = make([]float64, total)
-			for j := range data[i] {
-				data[i][j] = float64(rng.Intn(2000) - 1000)
-			}
-		}
-		// Rank-order references; with integer data these are the unique
-		// exact results every algorithm must reproduce bitwise.
-		agRef := allgathervReference(data, counts, displs, total)
-		rsRef := make([][]float64, n)
-		for k := 0; k < n; k++ {
-			lo, hi := displs[k], displs[k]+counts[k]
-			acc := append([]float64(nil), data[0][lo:hi]...)
-			for j := 1; j < n; j++ {
-				OpSum(acc, data[j][lo:hi])
-			}
-			rsRef[k] = acc
-		}
-		arRef := make([]float64, total)
-		copy(arRef, data[0])
-		for j := 1; j < n; j++ {
-			OpSum(arRef, data[j])
-		}
-		for _, placed := range []bool{false, true} {
-			cfg := Config{Ranks: n, RT: func(rank int) rt.Config {
-				return rt.Config{
-					Workers:  2,
-					Selector: core.ReplicateAll{},
-					Injector: fault.NewFixedRate(seed+uint64(rank)*13+1, 0.05, 0.05),
-				}
-			}}
-			if placed {
-				topo, err := simnet.BlockTopology(n, perNode, simnet.MemoryBus(), simnet.Marenostrum())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Topology = topo
-			}
-			w := NewWorld(cfg)
-			ag := make([]buffer.F64, n)
-			rs := make([]buffer.F64, n)
-			ar := make([]buffer.F64, n)
-			outs := make([]buffer.F64, n)
-			for i := 0; i < n; i++ {
-				ag[i] = buffer.NewF64(total)
-				copy(ag[i][displs[i]:displs[i]+counts[i]], data[i][displs[i]:displs[i]+counts[i]])
-				rs[i] = buffer.F64(append([]float64(nil), data[i]...))
-				ar[i] = buffer.F64(append([]float64(nil), data[i]...))
-				outs[i] = buffer.NewF64(counts[i])
-			}
-			c := w.Comm()
-			c.Allgatherv(1, "ag", ag, counts, displs)
-			c.ReduceScatterv(2, "rsin", "rsout", rs, outs, counts, OpSum)
-			c.AllreduceRabenseifner(3, "ar", ar, OpSum)
-			if err := w.Shutdown(); err != nil {
-				t.Logf("seed %d placed=%v: %v", seed, placed, err)
-				return false
-			}
-			for i := 0; i < n; i++ {
-				for j := 0; j < total; j++ {
-					if ag[i][j] != agRef[j] {
-						t.Logf("seed %d placed=%v: allgatherv member %d got %v want %v", seed, placed, i, ag[i], agRef)
-						return false
-					}
-					if ar[i][j] != arRef[j] {
-						t.Logf("seed %d placed=%v: rabenseifner member %d got %v want %v", seed, placed, i, ar[i], arRef)
-						return false
-					}
-				}
-				for j := range rsRef[i] {
-					if outs[i][j] != rsRef[i][j] {
-						t.Logf("seed %d placed=%v: reducescatterv member %d got %v want %v", seed, placed, i, outs[i], rsRef[i])
-						return false
-					}
-				}
-			}
+		if mismatch != "" {
+			t.Logf("seed %d: %s", seed, mismatch)
+			return false
 		}
 		return true
 	}
 	cfg := &quick.Config{MaxCount: 10}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVectorCollectivesSameBitSeed pins the seed that made the property
+// above flaky: on one rank, task 26 (an rsvred fold) takes an SDC on bit
+// 156 in attempt 0 and again in attempt 2. The two corrupted attempts agree
+// and outvote the clean replica, so a member adopts 2205.0001220703125
+// where 2205 is expected — the documented same-bit outcome, which the
+// engine cannot detect by comparison.
+func TestVectorCollectivesSameBitSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick-check property test")
+	}
+	const seed = 3611211620515380505
+	mismatch, sameBit := vectorCollectivesCase(t, seed)
+	found := false
+	for _, s := range sameBit {
+		if s.Task == 26 && s.Bit == 156 && len(s.Attempts) == 2 && s.Attempts[0] == 0 && s.Attempts[1] == 2 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("seed %d: want task 26 bit 156 flipped in attempts 0 and 2, recorded %+v", seed, sameBit)
+	}
+	if !strings.Contains(mismatch, "2205.0001220703125") {
+		t.Fatalf("seed %d: want the adopted corruption 2205.0001220703125, got %q", seed, mismatch)
 	}
 }

@@ -49,8 +49,17 @@ func TestFig2ShowsFullRecoverySequence(t *testing.T) {
 	}
 }
 
+// TestFig3ContractAndOrdering checks the strict App_FIT contract — the
+// unprotected FIT never exceeds the threshold — plus the paper's
+// takeaway-1 ordering. It runs on one worker on purpose: App_FIT charges a
+// task's FIT when the task completes (§IV-B), so with several workers the
+// decisions made while others are still in flight cannot see them and may
+// overshoot by up to the in-flight window, which is the paper's tolerated
+// behaviour, not a bug. With one worker every task is decided and charged
+// before the next one is decided, so the contract holds exactly however
+// the submitting thread and the worker interleave.
 func TestFig3ContractAndOrdering(t *testing.T) {
-	rows, out := Fig3(Fig3Config{Scale: workload.Tiny, Workers: 2, Repeats: 1})
+	rows, out := Fig3(Fig3Config{Scale: workload.Tiny, Workers: 1, Repeats: 1})
 	if len(rows) != 9 {
 		t.Fatalf("expected 9 rows, got %d", len(rows))
 	}

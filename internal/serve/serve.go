@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -92,15 +93,19 @@ type TenantConfig struct {
 
 func (c TenantConfig) normalized() (TenantConfig, error) {
 	if c.Name == "" {
-		return c, fmt.Errorf("serve: tenant with empty name")
+		return c, fmt.Errorf("serve: tenant with empty name: %w", ErrTenantSpec)
 	}
 	if c.Weight <= 0 {
 		c.Weight = 1
 	}
-	if c.Rate < 0 {
-		return c, fmt.Errorf("serve: tenant %q: negative rate", c.Name)
+	if c.Rate < 0 || math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) {
+		return c, fmt.Errorf("serve: tenant %q: rate %v is not a finite non-negative number: %w", c.Name, c.Rate, ErrTenantSpec)
 	}
 	if c.Burst <= 0 {
+		// The default burst is the rate rounded up; it must fit an int.
+		if c.Rate >= math.MaxInt {
+			return c, fmt.Errorf("serve: tenant %q: rate %v overflows the default burst: %w", c.Name, c.Rate, ErrTenantSpec)
+		}
 		c.Burst = int(c.Rate) + 1
 	}
 	if c.QueueCap <= 0 {
@@ -208,7 +213,7 @@ func New(opts Options) (*Server, error) {
 	for _, tc := range opts.Tenants {
 		tc, err := tc.normalized()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 		}
 		if _, dup := s.tenants[tc.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant %q: %w", tc.Name, ErrConfig)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -463,11 +464,46 @@ func TestParseTenants(t *testing.T) {
 	if !reflect.DeepEqual(tcs, want) {
 		t.Fatalf("parsed %+v\nwant %+v", tcs, want)
 	}
-	for _, bad := range []string{"", "=3", "a=0", "a=1/x", "a=1/1/0", "a=1/1/1/x", "a,a", "a=1/2/3/4/5"} {
-		if _, err := ParseTenants(bad); err == nil {
-			t.Fatalf("ParseTenants(%q) must fail", bad)
+	for _, bad := range []string{"", "=3", "a=0", "a=1/x", "a=1/1/0", "a=1/1/1/x", "a,a", "a=1/2/3/4/5",
+		// Rates the token bucket cannot honour: an infinite or overflowing
+		// rate would derive a negative burst and reject everything, a NaN
+		// one would silently disable the limiter.
+		"a=1/inf", "a=1/NaN", "a=1/1e300"} {
+		if _, err := ParseTenants(bad); !errors.Is(err, ErrTenantSpec) {
+			t.Fatalf("ParseTenants(%q) = %v, want ErrTenantSpec", bad, err)
 		}
 	}
+	// An explicit burst makes a huge finite rate harmless.
+	if _, err := ParseTenants("a=1/1e300/5"); err != nil {
+		t.Fatalf("explicit burst: %v", err)
+	}
+}
+
+// FuzzParseTenants: every spec ParseTenants accepts normalizes to tenants
+// with a finite non-negative rate and a burst of at least one.
+func FuzzParseTenants(f *testing.F) {
+	for _, seed := range []string{"heavy=3,light=1/10/20/256,bare", "a=1/inf", "a=1/NaN", "a=1/1e300",
+		"a=1/1e300/5", "a=2/0.5", "x=1/9.2e18", "a,b=2/3"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tcs, err := ParseTenants(spec)
+		if err != nil {
+			if !errors.Is(err, ErrTenantSpec) {
+				t.Fatalf("ParseTenants(%q) = %v, not an ErrTenantSpec", spec, err)
+			}
+			return
+		}
+		for _, tc := range tcs {
+			n, err := tc.normalized()
+			if err != nil {
+				t.Fatalf("ParseTenants(%q) accepted %+v, which does not normalize: %v", spec, tc, err)
+			}
+			if math.IsNaN(n.Rate) || math.IsInf(n.Rate, 0) || n.Rate < 0 || n.Burst < 1 {
+				t.Fatalf("ParseTenants(%q) accepted %+v, normalized to rate %v burst %d", spec, tc, n.Rate, n.Burst)
+			}
+		}
+	})
 }
 
 // TestNewValidations: a server refuses an empty or duplicate tenant set.
@@ -480,6 +516,12 @@ func TestNewValidations(t *testing.T) {
 	}
 	if _, err := New(Options{Tenants: []TenantConfig{{}}}); err == nil {
 		t.Fatal("empty tenant name must fail")
+	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		_, err := New(Options{Tenants: []TenantConfig{{Name: "a", Rate: rate}}})
+		if !errors.Is(err, ErrConfig) || !errors.Is(err, ErrTenantSpec) {
+			t.Fatalf("rate %v: New = %v, want ErrConfig and ErrTenantSpec", rate, err)
+		}
 	}
 }
 
